@@ -17,9 +17,25 @@ lies in A* x B* with positive mass, and in that case q_a must equal q_b;
 ``verify_agreement`` checks that implication over every attained posterior
 pair.
 
-Certainty is implemented as P >= 1 - tol because floating-point tables
-from the quantum backends never hit exactly 1; pass ``tol=0`` with an
-exact-rational table for exact set logic.
+``ck_step`` and ``ck_closure`` follow that definition one posterior pair at
+a time and are the reference oracle. ``verify_agreement`` and
+``singular_disagreement_check`` run a one-pass engine that returns the same
+reports: it computes each axis's posteriors once per (table, event) and
+clusters them once into a posterior partition. One certainty pass per level
+set gives the first closure step of every (q_a, q_b) pair at once, and each
+pair iterates from there on the shared pair marginal and certainty
+thresholds, with no per-pair recomputation.
+
+One tolerance ``tol`` plays three roles, all with the same default:
+
+* mass cutoff: outcomes with mass at most tol have no posterior and never
+  enter a level set;
+* posterior equality: posteriors within tol of their sorted neighbour fall
+  into one cluster, and an outcome is in the level set of q when its
+  cluster's representative lies within tol of q;
+* certainty slack: P(B | i) = 1 is tested as P(B | i) >= 1 - tol, because
+  floating-point tables from the quantum backends never hit exactly 1.
+  Pass ``tol=0`` with an exact-rational table for exact set logic.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from .joint import (
     DEFAULT_TOL,
     Event,
     JointDistribution,
+    axis_posteriors,
     posterior_alice,
     posterior_bob,
 )
@@ -73,27 +90,98 @@ def _zero(p: JointDistribution):
     return Fraction(0) if p.exact else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class _PosteriorPartition:
+    """One axis's posteriors for one (table, event), clustered once.
+
+    ``masses`` has an entry per outcome of the axis. ``clusters`` groups the
+    outcomes with mass above the sweep's ``tol`` by single linkage on their
+    posteriors, in ascending order of posterior; ``representatives`` holds
+    one value per cluster, its smallest member's for exact tables and the
+    mean otherwise.
+    """
+
+    masses: np.ndarray
+    clusters: tuple[tuple[int, ...], ...]
+    representatives: tuple
+    tol: float
+
+    def level_set(self, q) -> tuple[int, ...]:
+        """Outcomes, ascending, whose cluster representative lies within tol of q."""
+        return tuple(
+            sorted(
+                x
+                for rep, cluster in zip(self.representatives, self.clusters)
+                if abs(rep - q) <= self.tol
+                for x in cluster
+            )
+        )
+
+    def representative(self, x: int):
+        """Representative of the cluster holding outcome x; None when x has
+        mass at most tol and so is in no cluster."""
+        for rep, cluster in zip(self.representatives, self.clusters):
+            if x in cluster:
+                return rep
+        return None
+
+
+def _posterior_partition(
+    p: JointDistribution, event: Event, axis: str, tol: float = DEFAULT_TOL
+) -> _PosteriorPartition:
+    """Compute one axis's posteriors in one pass and cluster them.
+
+    Values within tol of their sorted neighbour merge into one cluster so
+    floating-point twins do not masquerade as different posteriors. An
+    outcome with mass above tol but not above the table's own tol has no
+    posterior and raises ZeroProbabilityConditioning.
+    """
+    masses = p.axis_masses(axis)
+    posteriors = axis_posteriors(p, event, axis)
+    members = [x for x in range(len(masses)) if masses[x] > tol]
+    for x in members:
+        if posteriors[x] is None:
+            raise ZeroProbabilityConditioning(
+                f"axis {axis} outcome {x} has mass {masses[x]} <= tol"
+            )
+    clusters: list[list[int]] = []
+    for x in sorted(members, key=posteriors.__getitem__):
+        if clusters and abs(posteriors[x] - posteriors[clusters[-1][-1]]) <= tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    # tuples here are built from lists, as in axis_posteriors
+    if p.exact:
+        representatives = tuple([posteriors[c[0]] for c in clusters])
+    else:
+        representatives = tuple(
+            [float(sum(posteriors[x] for x in c)) / len(c) for c in clusters]
+        )
+    return _PosteriorPartition(
+        masses, tuple([tuple(sorted(c)) for c in clusters]), representatives, tol
+    )
+
+
+def attained_posteriors(
+    p: JointDistribution, event: Event, axis: str, tol: float = DEFAULT_TOL
+) -> tuple:
+    """Distinct posterior values over positive-mass outcomes of one axis:
+    the representatives of its posterior partition."""
+    return _posterior_partition(p, event, axis, tol).representatives
+
+
 def initial_sets(
     p: JointDistribution, event: Event, q_a, q_b, tol: float = DEFAULT_TOL
 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Level sets of outcomes whose posterior matches q_a (q_b) within tol.
+    """Level sets of q_a and q_b: the outcomes whose posterior cluster's
+    representative lies within tol of it.
 
     Outcomes with mass at most tol are excluded: their posteriors are
     undefined and cannot ground knowledge.
     """
-    masses_i = p.axis_masses("I")
-    masses_j = p.axis_masses("J")
-    a0 = frozenset(
-        i
-        for i in range(p.space.size_i)
-        if masses_i[i] > tol and abs(posterior_alice(p, i, event) - q_a) <= tol
-    )
-    b0 = frozenset(
-        j
-        for j in range(p.space.size_j)
-        if masses_j[j] > tol and abs(posterior_bob(p, j, event) - q_b) <= tol
-    )
-    return a0, b0
+    part_a = _posterior_partition(p, event, "I", tol)
+    part_b = _posterior_partition(p, event, "J", tol)
+    return frozenset(part_a.level_set(q_a)), frozenset(part_b.level_set(q_b))
 
 
 def ck_step(p: JointDistribution, state: CKState, tol: float = DEFAULT_TOL) -> CKState:
@@ -161,37 +249,86 @@ def ck_closure(
 def is_common_knowledge(
     p: JointDistribution, event: Event, i: int, j: int, tol: float = DEFAULT_TOL
 ) -> bool:
-    """Whether the posteriors induced by observing (i, j) are common knowledge."""
-    q_a = posterior_alice(p, i, event)
-    q_b = posterior_bob(p, j, event)
+    """Whether the posteriors induced by observing (i, j) are common knowledge.
+
+    The closure runs at the representatives of the posterior clusters that
+    hold i and j, the values the sweep runs it at, so the answer agrees with
+    ``verify_agreement``. An outcome with mass at most tol is in no cluster
+    and its posterior is never common knowledge.
+    """
+    # the raw posteriors only validate i and j: range and positive mass
+    posterior_alice(p, i, event)
+    posterior_bob(p, j, event)
+    q_a = _posterior_partition(p, event, "I", tol).representative(i)
+    q_b = _posterior_partition(p, event, "J", tol).representative(j)
+    if q_a is None or q_b is None:
+        return False
     report = ck_closure(p, event, q_a, q_b, tol)
     return i in report.a_star and j in report.b_star
 
 
-def attained_posteriors(
-    p: JointDistribution, event: Event, axis: str, tol: float = DEFAULT_TOL
-) -> tuple:
-    """Distinct posterior values over positive-mass outcomes of one axis.
+class _Engine:
+    """What every closure on one (table, event) shares, computed once: both
+    posterior partitions, the pair marginal read row-wise from each side,
+    and each outcome's certainty threshold."""
 
-    Values within tol of each other are merged into one representative so
-    floating-point twins do not masquerade as different posteriors.
-    """
-    masses = p.axis_masses(axis)
-    post = posterior_alice if axis == "I" else posterior_bob
-    values = sorted(
-        post(p, x, event)
-        for x in range(p.space.axis_size(axis))
-        if masses[x] > tol
-    )
-    clusters: list[list] = []
-    for v in values:
-        if clusters and abs(v - clusters[-1][-1]) <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    if p.exact:
-        return tuple(c[0] for c in clusters)
-    return tuple(float(sum(c)) / len(c) for c in clusters)
+    def __init__(self, p: JointDistribution, event: Event, tol: float):
+        self.tol = tol
+        self.zero = _zero(p)
+        self.parts = (
+            _posterior_partition(p, event, "I", tol),
+            _posterior_partition(p, event, "J", tol),
+        )
+        m2 = _pair_marginal(p)
+        self.rows = (m2, np.ascontiguousarray(m2.T))
+        totals = [m.sum(axis=1) for m in self.rows]
+        # tol == 0 keeps exact-rational tables exact (no float threshold)
+        self.thresholds = totals if tol == 0 else [(1 - tol) * t for t in totals]
+
+    def level_set(self, side: int, q) -> np.ndarray:
+        return np.array(self.parts[side].level_set(q), dtype=np.intp)
+
+    def certain(self, side: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Mask over ``rows`` of ``side``: which are certain of ``cols``.
+
+        Each row is gathered contiguously and summed in ck_step's order.
+        """
+        inside = np.take(self.rows[side][rows], cols, axis=1).sum(axis=1)
+        return inside >= self.thresholds[side][rows]
+
+    def step(self, a: np.ndarray, b: np.ndarray):
+        """One closure step: the outcomes of a certain of b, and of b of a."""
+        return a[self.certain(0, a, b)], b[self.certain(1, b, a)]
+
+    def close(self, a: np.ndarray, b: np.ndarray, next_a: np.ndarray, next_b: np.ndarray):
+        """Iterate from the level sets (a, b), whose first step is (next_a,
+        next_b), to the fixed point, counting productive steps; each step
+        keeps a subset, so it ends."""
+        steps = 0
+        while len(next_a) != len(a) or len(next_b) != len(b):
+            a, b, steps = next_a, next_b, steps + 1
+            if not (len(a) or len(b)):
+                break  # two empty sets are their own next step
+            next_a, next_b = self.step(a, b)
+        return a, b, steps
+
+    def report(self, q_a, q_b, a: np.ndarray, b: np.ndarray, steps: int) -> CKReport:
+        tol = self.tol
+        mass_a = self.parts[0].masses[a].sum() if len(a) else self.zero
+        mass_b = self.parts[1].masses[b].sum() if len(b) else self.zero
+        ck_holds = bool(len(a) and len(b) and mass_a > tol and mass_b > tol)
+        return CKReport(
+            q_a=q_a,
+            q_b=q_b,
+            a_star=tuple(a.tolist()),
+            b_star=tuple(b.tolist()),
+            steps=steps,
+            ck_holds=ck_holds,
+            agrees=bool(abs(q_a - q_b) <= tol),
+            mass_a=mass_a,
+            mass_b=mass_b,
+            witness=(int(a[0]), int(b[0])) if ck_holds else None,
+        )
 
 
 def verify_agreement(
@@ -201,12 +338,25 @@ def verify_agreement(
 
     A report with ``ck_holds`` and not ``agrees`` would witness common
     knowledge of differing posteriors; for any valid joint table none
-    exists, and callers treat one as a hard failure.
+    exists, and callers treat one as a hard failure. The reports equal
+    ``ck_closure``'s at each pair, in row-major (q_a, q_b) order.
     """
-    qa_values = attained_posteriors(p, event, "I", tol)
-    qb_values = attained_posteriors(p, event, "J", tol)
+    engine = _Engine(p, event, tol)
+    sets_a, sets_b = (
+        [(q, engine.level_set(side, q)) for q in part.representatives]
+        for side, part in enumerate(engine.parts)
+    )
+    # one certainty pass per level set gives every pair's first step: which
+    # outcomes of one axis are certain of each level set of the other
+    every_i, every_j = np.arange(p.space.size_i), np.arange(p.space.size_j)
+    certain_a = [engine.certain(0, every_i, b) for _, b in sets_b]
+    certain_b = [engine.certain(1, every_j, a) for _, a in sets_a]
     return tuple(
-        ck_closure(p, event, qa, qb, tol) for qa in qa_values for qb in qb_values
+        [
+            engine.report(q_a, q_b, *engine.close(a, b, a[in_a[a]], b[in_b[b]]))
+            for (q_a, a), in_b in zip(sets_a, certain_b)
+            for (q_b, b), in_a in zip(sets_b, certain_a)
+        ]
     )
 
 
@@ -221,8 +371,10 @@ def singular_disagreement_check(
     1 versus 0 (in either orientation). Always true for a well-defined
     joint table: certainty of the event on one side forces zero mass on
     every outcome the other side would need."""
+    engine = _Engine(p, event, tol)
     for q_a, q_b in ((1.0, 0.0), (0.0, 1.0)):
-        if ck_closure(p, event, q_a, q_b, tol).ck_holds:
+        a, b = engine.level_set(0, q_a), engine.level_set(1, q_b)
+        if engine.report(q_a, q_b, *engine.close(a, b, *engine.step(a, b))).ck_holds:
             return False
     return True
 

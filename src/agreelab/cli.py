@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .agreement import ck_closure, dynamic_protocol, is_common_knowledge
 from .errors import AgreeLabError, ParseError, ValidationError
-from .joint import Event
+from .joint import DEFAULT_TOL, Event
 from .quantum import block_rotation_scenario, closed_form_posteriors, sequential_joint
 from .report import emit_report, emit_search_summary
 from .scenario import parse_scenario, run_scenario
@@ -37,40 +38,57 @@ def _load(path: str):
     return parse_scenario(text)
 
 
+def _tol(override: float | None, default: float) -> float:
+    """The tolerance a subcommand runs at: ``--tol`` when given, else
+    ``default``. It must be finite and nonnegative; zero selects exact set
+    logic, which only an exact table supports."""
+    tol = default if override is None else override
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"must be finite and nonnegative, got {tol}", "tol")
+    return tol
+
+
+def _load_with_tol(path: str, override: float | None):
+    """Load a scenario and set its tolerance. Every backend yields a float
+    table, so zero is refused along with the values ``_tol`` refuses."""
+    s = _load(path)
+    tol = _tol(override, s.tol)
+    if tol == 0:
+        raise ValidationError("must be positive: scenario tables are floats", "tol")
+    return dataclasses.replace(s, tol=tol)
+
+
 def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
 def _cmd_joint(args) -> int:
-    s = _load(args.scenario)
-    if args.tol is not None:
-        s = dataclasses.replace(s, tol=args.tol)
+    s = _load_with_tol(args.scenario, args.tol)
     report = run_scenario(s, include_joint=True)
     print(emit_report(report, args.format), end="")
     return EXIT_OK
 
 
 def _cmd_posteriors(args) -> int:
-    s = _load(args.scenario)
+    s = _load_with_tol(args.scenario, args.tol)
     report = run_scenario(s)
     print(emit_report(report, args.format), end="")
     return EXIT_OK
 
 
 def _cmd_ck(args) -> int:
-    s = _load(args.scenario)
+    s = _load_with_tol(args.scenario, args.tol)
     joint = s.compute_joint()
     event = Event(joint.space, s.event.members)
-    tol = args.tol if args.tol is not None else s.tol
     if args.pair is not None:
         i, j = args.pair
-        held = is_common_knowledge(joint, event, i, j, tol)
+        held = is_common_knowledge(joint, event, i, j, s.tol)
         print(f"pair ({i}, {j}): common knowledge = {held}")
         return EXIT_OK
     if args.qa is None or args.qb is None:
         print("ck needs either --pair I J or both --qa and --qb", file=sys.stderr)
         return EXIT_VALIDATION
-    r = ck_closure(joint, event, args.qa, args.qb, tol)
+    r = ck_closure(joint, event, args.qa, args.qb, s.tol)
     print(
         f"q_a={_fmt(r.q_a)} q_b={_fmt(r.q_b)} A*={list(r.a_star)} B*={list(r.b_star)} "
         f"steps={r.steps} mass_a={_fmt(r.mass_a)} mass_b={_fmt(r.mass_b)} "
@@ -82,10 +100,7 @@ def _cmd_ck(args) -> int:
 def _cmd_verify(args) -> int:
     worst = EXIT_OK
     for path in args.scenarios:
-        s = _load(path)
-        if args.tol is not None:
-            s = dataclasses.replace(s, tol=args.tol)
-        report = run_scenario(s)
+        report = run_scenario(_load_with_tol(path, args.tol))
         print(emit_report(report, args.format), end="")
         if report.violation_count > 0 or not report.singular_ok:
             worst = EXIT_VIOLATION
@@ -93,7 +108,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    s = _load(args.scenario)
+    s = _load_with_tol(args.scenario, args.tol)
     joint = s.compute_joint()
     event = Event(joint.space, s.event.members)
     t = dynamic_protocol(joint, event, args.pair[0], args.pair[1], tol=s.tol)
@@ -109,7 +124,11 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_search(args) -> int:
     summary = fuzz_search(
-        args.backend, args.trials, max_dim=args.max_dim, seed=args.seed, tol=args.tol or 1e-9
+        args.backend,
+        args.trials,
+        max_dim=args.max_dim,
+        seed=args.seed,
+        tol=_tol(args.tol, DEFAULT_TOL),
     )
     print(emit_search_summary(summary, args.format), end="")
     return EXIT_OK if summary.passed else EXIT_VIOLATION

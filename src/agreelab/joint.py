@@ -227,6 +227,22 @@ def _axis_posterior(p: JointDistribution, axis: str, index: int, event: Event):
     return np.take(sub, ks, axis=2).sum() / mass
 
 
+def axis_posteriors(p: JointDistribution, event: Event, axis: str) -> tuple:
+    """Every outcome's posterior on one axis, in one pass over the table:
+    None where the outcome's mass is at most the table's tol.
+
+    Each outcome's row is summed in the order ``_axis_posterior`` sums it,
+    so the values equal ``posterior_alice``/``posterior_bob`` bit for bit.
+    """
+    masses = p.axis_masses(axis)
+    n = len(masses)
+    hits = np.moveaxis(p.table[:, :, list(event.sorted_members)], axis_position(axis), 0)
+    hits = np.ascontiguousarray(hits).reshape(n, -1).sum(axis=1)
+    # built from a list: tuple(generator) resizes its result, which leaves
+    # blocks stranded in the tuple free lists until a full gc
+    return tuple([h / m if m > p.tol else None for h, m in zip(hits, masses)])
+
+
 def posterior_alice(p: JointDistribution, i: int, event: Event):
     """Alice's posterior probability of the event after observing outcome i."""
     return _axis_posterior(p, "I", i, event)

@@ -12,6 +12,7 @@ for the full schema and examples.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,14 @@ from .agreement import (
 )
 from .classical import ClassicalModel, embed_classical
 from .errors import AgreeLabError, ParseError, ValidationError
-from .joint import DEFAULT_TOL, Event, JointDistribution, OutcomeSpace, validate_joint
+from .joint import (
+    DEFAULT_TOL,
+    Event,
+    JointDistribution,
+    OutcomeSpace,
+    axis_posteriors,
+    validate_joint,
+)
 from .process import (
     LABS,
     ProcessMatrix,
@@ -139,6 +147,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(f"unknown backend {backend!r}, expected one of {BACKENDS}", "backend")
     scenario_id = str(payload.get("id", "scenario"))
     tol = float(payload.get("tolerance", DEFAULT_TOL))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"must be finite and positive, got {tol}", "tolerance")
     seed = int(payload.get("seed", 0))
     try:
         builder = {
@@ -311,39 +321,24 @@ class RunReport:
     duration: float = field(default=0.0, compare=False)
 
 
-def _posterior_row(p: JointDistribution, event: Event, axis: str) -> tuple[float | None, ...]:
-    from .joint import posterior_alice, posterior_bob
-
-    post = posterior_alice if axis == "I" else posterior_bob
-    masses = p.axis_masses(axis)
-    out = []
-    for x in range(p.space.axis_size(axis)):
-        out.append(float(post(p, x, event)) if masses[x] > p.tol else None)
-    return tuple(out)
-
-
 def run_scenario(s: Scenario, include_joint: bool = False) -> RunReport:
     """Compute the joint, sweep every attained posterior pair, and report."""
     start = time.perf_counter()
     joint = s.compute_joint()
     event = Event(joint.space, s.event.members)
     reports = verify_agreement(joint, event, s.tol)
-    reports = tuple(
-        CKReport(
-            q_a=float(r.q_a), q_b=float(r.q_b), a_star=r.a_star, b_star=r.b_star,
-            steps=r.steps, ck_holds=r.ck_holds, agrees=r.agrees,
-            mass_a=float(r.mass_a), mass_b=float(r.mass_b), witness=r.witness,
-        )
-        for r in reports
-    )
     singular_ok = singular_disagreement_check(joint, event, s.tol)
+    q_a, q_b = (
+        tuple([None if q is None else float(q) for q in axis_posteriors(joint, event, axis)])
+        for axis in ("I", "J")
+    )
     return RunReport(
         scenario_id=s.scenario_id,
         backend=s.backend,
         sizes=joint.space.sizes,
         event=event.sorted_members,
-        q_a=_posterior_row(joint, event, "I"),
-        q_b=_posterior_row(joint, event, "J"),
+        q_a=q_a,
+        q_b=q_b,
         reports=reports,
         violation_count=len(violations(reports)),
         singular_ok=singular_ok,

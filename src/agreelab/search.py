@@ -8,6 +8,7 @@ independently from (seed, trial index) so failures replay exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +118,10 @@ def fuzz_search(
         raise ValidationError("trials must be >= 1", "trials")
     if backend not in BACKENDS:
         raise ValidationError(f"unknown backend {backend!r}, expected one of {BACKENDS}", "backend")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(
+            f"must be finite and positive, since every trial table is float; got {tol}", "tol"
+        )
     closures = 0
     violation_count = 0
     singular_failures = 0

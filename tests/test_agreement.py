@@ -118,6 +118,20 @@ class TestCKClosure:
                 assert r.steps <= joint.space.size_i + joint.space.size_j
 
 
+def single_linkage_table(bob_of, tol=1e-9):
+    """Alice's posteriors 0.5 + k * 0.7 tol, k = 0..3, chain into one
+    cluster whose mean lies 1.05 tol from the outer two; Alice's outcome i
+    occurs only with Bob's outcome bob_of[i]."""
+    q = 0.5 + 0.7 * tol * np.arange(4)
+    size_j = max(bob_of) + 1
+    table = np.zeros((4, size_j, 2))
+    for i, j in enumerate(bob_of):
+        table[i, j, 0] = q[i] / 4
+        table[i, j, 1] = (1 - q[i]) / 4
+    joint = validate_joint(table, OutcomeSpace(4, size_j, 2))
+    return joint, Event(joint.space, frozenset({0}))
+
+
 class TestIsCommonKnowledge:
     def test_product_distribution_every_pair(self):
         joint, event = product_distribution()
@@ -132,6 +146,21 @@ class TestIsCommonKnowledge:
     def test_block_example_pair_holds(self, block_example):
         scenario, joint = block_example
         assert is_common_knowledge(joint, scenario.event, 0, 0)
+
+    def test_single_linkage_cluster_agrees_with_sweep(self):
+        # i0, i1 lie more than tol from their cluster's mean but within tol
+        # of their own raw posteriors; the point query must still run at the
+        # representative and agree with the sweep's A* x B*
+        tol = 1e-9
+        joint, event = single_linkage_table((0, 0, 1, 1), tol)
+        reports = verify_agreement(joint, event, tol)
+        assert [(r.a_star, r.b_star) for r in reports] == [((0, 1), (0,)), ((2, 3), (1,))]
+        for i in range(4):
+            for j in range(2):
+                in_sweep = any(i in r.a_star and j in r.b_star for r in reports)
+                assert is_common_knowledge(joint, event, i, j, tol) == in_sweep
+        assert is_common_knowledge(joint, event, 0, 0, tol)
+        assert not is_common_knowledge(joint, event, 0, 1, tol)
 
     def test_zero_mass_pair_rejected(self):
         table = np.zeros((2, 2, 2))
@@ -159,6 +188,17 @@ class TestVerifyAgreement:
         for trial in range(60):
             joint, event = random_joint_table(trial_rng(55, trial), structured_zeros=trial % 3 == 0)
             assert not violations(verify_agreement(joint, event))
+
+    def test_single_linkage_cluster_is_one_level_set(self):
+        # Alice's posteriors 0.7 tol apart chain into one cluster, and the
+        # outer two lie more than tol from its mean: the level set is the
+        # whole cluster all the same
+        tol = 1e-9
+        joint, event = single_linkage_table((0, 0, 0, 0), tol)
+        assert len(attained_posteriors(joint, event, "I", tol)) == 1
+        (r,) = verify_agreement(joint, event, tol)
+        assert r.ck_holds and r.agrees
+        assert (r.a_star, r.b_star) == ((0, 1, 2, 3), (0,))
 
     def test_closure_posterior_identity(self):
         # the fixed-point set, when nonempty, carries the announced posterior

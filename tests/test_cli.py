@@ -1,0 +1,98 @@
+"""The --tol flag: one resolution rule for every subcommand.
+
+The fixture table has two Alice outcomes whose posteriors differ by 1e-7,
+so the default tolerance (1e-9) keeps them apart and --tol 1e-6 merges
+them; each subcommand's output shows which tolerance it ran at.
+"""
+
+import json
+
+import pytest
+
+import agreelab.cli as cli
+from agreelab import parse_records
+from agreelab.cli import main
+
+GAP = 1e-7
+
+
+@pytest.fixture
+def near_twins(tmp_path):
+    # p(i, 0, k) = 0.5 * P(k | i): P(event | i=0) = 0.5, P(event | i=1) = 0.5 + GAP
+    q1 = 0.5 + GAP
+    payload = {
+        "backend": "table",
+        "sizes": [2, 1, 2],
+        "p": [0.25, 0.25, 0.5 * q1, 0.5 * (1 - q1)],
+        "event": [0],
+    }
+    path = tmp_path / "near_twins.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_joint_rejects_negative_tol(near_twins, capsys):
+    assert main(["joint", near_twins, "--tol", "-1"]) == cli.EXIT_VALIDATION
+    assert "tol" in capsys.readouterr().err
+    assert main(["joint", near_twins, "--tol", "1e-6"]) == cli.EXIT_OK
+
+
+def test_posteriors_honours_tol(near_twins, capsys):
+    assert main(["posteriors", near_twins, "--format", "records"]) == cli.EXIT_OK
+    apart = parse_records(capsys.readouterr().out)
+    assert main(["posteriors", near_twins, "--format", "records", "--tol", "1e-6"]) == cli.EXIT_OK
+    merged = parse_records(capsys.readouterr().out)
+    assert len(apart.reports) == 2 and not any(r.ck_holds for r in apart.reports)
+    assert len(merged.reports) == 1
+    assert merged.reports[0].ck_holds and merged.reports[0].a_star == (0, 1)
+
+
+def test_ck_honours_tol(near_twins, capsys):
+    query = ["ck", near_twins, "--qa", "0.5", "--qb", str(0.5 + GAP / 2)]
+    assert main(query) == cli.EXIT_OK
+    assert "A*=[] " in capsys.readouterr().out
+    assert main([*query, "--tol", "1e-6"]) == cli.EXIT_OK
+    assert "A*=[0, 1] " in capsys.readouterr().out
+    assert main([*query, "--tol", "inf"]) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_verify_rejects_bad_tol(scenarios_dir, tol, capsys):
+    path = str(scenarios_dir / "quantum_block.json")
+    assert main(["verify", path, "--tol", tol]) == cli.EXIT_VALIDATION
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_verify_rejects_bad_tolerance_in_file(near_twins, capsys):
+    with open(near_twins) as f:
+        payload = json.load(f)
+    payload["tolerance"] = -1e-9
+    with open(near_twins, "w") as f:
+        json.dump(payload, f)
+    assert main(["verify", near_twins]) == cli.EXIT_VALIDATION
+
+
+def test_protocol_honours_tol(near_twins, capsys):
+    assert main(["protocol", near_twins, "--pair", "0", "0"]) == cli.EXIT_OK
+    assert "S_A=[0] " in capsys.readouterr().out
+    assert main(["protocol", near_twins, "--pair", "0", "0", "--tol", "1e-6"]) == cli.EXIT_OK
+    assert "S_A=[0, 1] " in capsys.readouterr().out
+    assert main(["protocol", near_twins, "--pair", "0", "0", "--tol", "-1"]) == cli.EXIT_VALIDATION
+
+
+def test_search_passes_zero_tol_through(monkeypatch, capsys):
+    seen = []
+    real = cli.fuzz_search
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fuzz_search", spy)
+    argv = ["search", "--backend", "table", "--trials", "2"]
+    assert main([*argv, "--tol", "0"]) == cli.EXIT_VALIDATION
+    assert main([*argv, "--tol", "1e-6"]) == cli.EXIT_OK
+    assert main([*argv, "--tol", "-1"]) == cli.EXIT_VALIDATION
+    # zero reaches the fuzzer, which refuses it for float tables; a negative
+    # tolerance is refused before
+    assert seen == [0.0, 1e-6]

@@ -1,0 +1,161 @@
+"""The one-pass agreement engine against the per-pair oracle.
+
+``verify_agreement`` must return exactly what ``ck_closure`` returns at
+each attained posterior pair, field for field and float for float (the
+reprs are compared too, so types and bits match), and
+``singular_disagreement_check`` must match its two oracle closures.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agreelab import (
+    Event,
+    OutcomeSpace,
+    attained_posteriors,
+    ck_closure,
+    embed_classical,
+    singular_disagreement_check,
+    validate_joint,
+    verify_agreement,
+)
+from agreelab.randomgen import random_classical_model, trial_rng
+from agreelab.search import BACKENDS, _trial_joint
+
+
+def oracle_sweep(p, event, tol):
+    return tuple(
+        ck_closure(p, event, qa, qb, tol)
+        for qa in attained_posteriors(p, event, "I", tol)
+        for qb in attained_posteriors(p, event, "J", tol)
+    )
+
+
+def oracle_singular(p, event, tol):
+    return not any(
+        ck_closure(p, event, qa, qb, tol).ck_holds for qa, qb in ((1.0, 0.0), (0.0, 1.0))
+    )
+
+
+def assert_matches_oracle(p, event, tol):
+    got = verify_agreement(p, event, tol)
+    want = oracle_sweep(p, event, tol)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert singular_disagreement_check(p, event, tol) == oracle_singular(p, event, tol)
+    return got
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_seeded_trials_match_oracle(backend):
+    for t in range(20 if backend == "process" else 60):
+        p, event = _trial_joint(backend, trial_rng(2024, t), 4)
+        assert_matches_oracle(p, event, 1e-9)
+
+
+def test_exact_classical_models_at_zero_tol():
+    for t in range(80):
+        p, event = embed_classical(random_classical_model(trial_rng(31, t), exact=True))
+        assert p.exact
+        assert_matches_oracle(p, event, 0)
+
+
+def block_table(n, rng):
+    """n x n x 3: three dense blocks with random posteriors and one
+    constant-posterior block whose first row leaks 1e-12 of its mass
+    into another block, with relative noise of 1e-12 on its entries."""
+    c = max(2, n // 6)
+    sizes = [c, *(2 + e for e in rng.multinomial(n - c - 6, [1 / 3] * 3))]
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    t = np.zeros((n, n, 3))
+    r_const = rng.dirichlet(np.ones(3))
+    starts = np.cumsum([0, *sizes])
+    for b in range(4):
+        bi = rows[starts[b] : starts[b + 1]]
+        bj = cols[starts[b] : starts[b + 1]]
+        mass = rng.exponential(1.0, size=(len(bi), len(bj))) + 0.05
+        if b == 0:
+            cond = r_const * (1 + rng.uniform(-1e-12, 1e-12, size=(len(bi), len(bj), 3)))
+        else:
+            cond = rng.dirichlet(np.ones(3), size=(len(bi), len(bj)))
+        t[np.ix_(bi, bj)] = mass[:, :, None] * cond
+    t[rows[0], cols[starts[1]], 0] = 1e-12 * t[rows[0]].sum()
+    return t / t.sum(), sorted(int(x) for x in rows[:c]), sorted(int(x) for x in cols[:c])
+
+
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_block_tables_with_leak_match_oracle(n):
+    rng = np.random.default_rng(n)
+    for members in ({0}, {1, 2}):
+        table, const_rows, const_cols = block_table(n, rng)
+        space = OutcomeSpace(n, n, 3)
+        event = Event(space, frozenset(members))
+        reports = assert_matches_oracle(validate_joint(table, space), event, 1e-9)
+        held = [r for r in reports if r.ck_holds]
+        assert [(list(r.a_star), list(r.b_star)) for r in held] == [(const_rows, const_cols)]
+
+
+@pytest.mark.parametrize("n", [16, 33])
+def test_one_large_cluster_matches_oracle(n):
+    # every posterior equal up to 1e-12: one level set of n outcomes per
+    # side, so masses and certainty sums run over many entries, where the
+    # summation order shows in the last bits
+    rng = np.random.default_rng(n)
+    mass = rng.exponential(1.0, size=(n, n)) * (rng.random((n, n)) < 0.8)
+    noise = 1 + rng.uniform(-1e-12, 1e-12, size=(n, n, 2))
+    table = mass[:, :, None] * np.array([0.3, 0.7]) * noise
+    space = OutcomeSpace(n, n, 2)
+    event = Event(space, frozenset({0}))
+    (r,) = assert_matches_oracle(validate_joint(table / table.sum(), space), event, 1e-9)
+    assert r.ck_holds and len(r.a_star) == n
+
+
+def test_leaked_block_holds_only_through_certainty_slack():
+    # rows and columns {0, 1} form a block with posterior 0.3; row 0 leaks
+    # 1e-12 of its mass, with the same posterior, into column 2 of a block
+    # with distinct posteriors. The leak is below tol = 1e-9 and above
+    # tol = 1e-13, and the block's posteriors agree far closer than either,
+    # so common knowledge stands or falls with the certainty test alone.
+    # A rule on support entries (p(i, j) > 0) would join the two blocks.
+    table = np.zeros((4, 4, 2))
+    table[:2, :2] = (0.3, 0.7)
+    table[2:, 2:] = [[(0.2, 0.8), (0.8, 0.2)], [(0.6, 0.4), (0.5, 0.5)]]
+    table[0, 2] = 2e-12 * np.array([0.3, 0.7])
+    space = OutcomeSpace(4, 4, 2)
+    event = Event(space, frozenset({0}))
+    for tol, holds in ((1e-9, True), (1e-13, False)):
+        p = validate_joint(table / table.sum(), space, tol)
+        reports = assert_matches_oracle(p, event, tol)
+        held = [(r.a_star, r.b_star) for r in reports if r.ck_holds]
+        assert held == ([((0, 1), (0, 1))] if holds else [])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-9, 1e-12, 1e-14]),
+)
+def test_near_zero_entries_match_oracle(seed, tol):
+    """Block tables with constant posteriors per block, then exact zeros,
+    ~1e-17 round-off entries (as quantum tables carry) and ~1e-12 leaks
+    across blocks: the engine must still agree with the oracle pair by pair."""
+    rng = np.random.default_rng(seed)
+    size_i, size_j, size_k = (int(x) for x in rng.integers(2, 7, size=3))
+    block_i = rng.integers(0, 2, size=size_i)
+    block_j = rng.integers(0, 2, size=size_j)
+    cond = rng.dirichlet(np.ones(size_k), size=2)
+    mass = rng.exponential(1.0, size=(size_i, size_j)) * (block_i[:, None] == block_j[None, :])
+    table = mass[:, :, None] * cond[block_i][:, None, :]
+    table[rng.random(mass.shape) < 0.2] = 0.0
+    roundoff = rng.random(table.shape) < 0.15
+    table[roundoff] += rng.uniform(0, 2e-17, size=int(roundoff.sum()))
+    leaks = rng.random(table.shape) < 0.05
+    table[leaks] += rng.uniform(0, 2e-12, size=int(leaks.sum()))
+    if table.sum() == 0:
+        table[0, 0, 0] = 1.0
+    space = OutcomeSpace(size_i, size_j, size_k)
+    members = frozenset(int(k) for k in np.flatnonzero(rng.random(size_k) < 0.5))
+    p = validate_joint(table / table.sum(), space, tol)
+    assert_matches_oracle(p, Event(space, members), tol)

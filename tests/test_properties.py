@@ -7,10 +7,11 @@ must satisfy regardless of origin.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agreelab import (
+    DEFAULT_TOL,
     Event,
     OutcomeSpace,
     as_effective_state_space,
@@ -25,6 +26,7 @@ from agreelab import (
     verify_agreement,
     violations,
 )
+from agreelab.agreement import _posterior_partition
 
 
 @st.composite
@@ -138,12 +140,29 @@ def test_effective_state_space_round_trip(pair):
     assert back_event.members == event.members
 
 
+def one_wide_cluster():
+    # posteriors 0.7 tol apart chain into one cluster whose outer members
+    # lie 1.05 tol from its representative; q is that representative
+    q = 0.5 + 0.7 * DEFAULT_TOL * np.arange(4)
+    table = np.zeros((4, 1, 2))
+    table[:, 0, 0] = q / 4
+    table[:, 0, 1] = (1 - q) / 4
+    joint = validate_joint(table, OutcomeSpace(4, 1, 2))
+    event = Event(joint.space, frozenset({0}))
+    return (joint, event), attained_posteriors(joint, event, "I")[0]
+
+
 @settings(max_examples=50, deadline=None)
 @given(tables_with_events(), st.floats(0.0, 1.0))
+@example(*one_wide_cluster())
 def test_closure_level_sets_contain_only_matching_posteriors(pair, q):
+    # a level set is made of whole posterior clusters, so a member of A*
+    # may lie up to tol plus its cluster's width from q; its cluster's
+    # representative lies within tol
     joint, event = pair
     r = ck_closure(joint, event, q, q)
+    part = _posterior_partition(joint, event, "I", joint.tol)
     for i in r.a_star:
-        assert abs(posterior_alice(joint, i, event) - q) <= joint.tol * (1 + 1e-6)
+        assert abs(part.representative(i) - q) <= joint.tol * (1 + 1e-6)
     values = attained_posteriors(joint, event, "I")
     assert all(0 <= v <= 1 + 1e-12 for v in values)
