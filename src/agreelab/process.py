@@ -24,11 +24,24 @@ Conventions, fixed once and used everywhere:
 This ordering is part of the scenario file contract; a mismatched
 convention is the dominant failure mode when importing external W
 matrices, so validate with :func:`validate_process` before trusting one.
+
+A :class:`ProcessMatrix` is held in one of two forms. Constructed
+processes (:func:`embed_definite_order`, :func:`mix_processes`) are
+factored: a convex sum of definite-order circuits, each a state, identity
+wires and a discarded last output. :func:`process_joint` contracts each
+lab's Choi stack straight against those factors, a link-product chain
+along the order, so the d^12-entry W is never built. An explicit W, such
+as the quantum switch read from a file, is dense and contracted in one
+einsum. A dense W above :data:`DENSE_W_BUDGET_BYTES` is refused with
+:class:`ValidationError` before it is allocated: materializing a factored
+process's ``matrix``, or reading an explicit W whose declared lab dims
+imply one.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,6 +54,11 @@ from .quantum import DensityMatrix, Instrument
 LABS = ("A", "B", "E")
 
 PROCESS_TRACE_TOL = 1e-8
+
+# Largest dense W, in bytes, that the package builds or reads from a file:
+# every wire at dimension 4, a 4^6 x 4^6 complex matrix (256 MiB). Lab
+# dimension 5 would take 3.9 GB.
+DENSE_W_BUDGET_BYTES = 2**28
 
 LabDims = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
@@ -98,55 +116,101 @@ def _normalize_lab_dims(lab_dims) -> LabDims:
 
 
 @dataclass(frozen=True)
+class WiringTerm:
+    """One definite-order circuit, weighted, as a term of a factored W.
+
+    ``state`` enters the first lab of ``order``; identity channels wire each
+    lab's output to the next lab's input; the last output is discarded. The
+    term's W is ``weight * (rho^T (x) |I>><<I| (x) |I>><<I| (x) 1)`` over
+    (first input, first output and second input, second output and third
+    input, third output), positive by construction for a nonnegative weight.
+    """
+
+    weight: float
+    state: DensityMatrix
+    order: tuple[str, str, str]
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ProcessMatrix:
     """Positive operator assigning probabilities to local instrument outcomes.
 
     ``lab_dims`` lists (input, output) dimensions per lab in A, B, E order.
-    ``validate=False`` skips all checks (diagnostic probing of broken
-    candidates). ``certified=True`` skips the hermiticity scan and the
-    eigendecomposition but keeps the trace check; it is reserved for
-    constructions (wiring embeddings, convex mixtures) whose hermiticity
-    and positivity hold factor-wise by construction. ``copy=False`` hands
-    ownership of the array to the instance without a defensive copy.
+    A process matrix is held in one of two forms:
+
+    * dense: ``ProcessMatrix(matrix, lab_dims)`` keeps an explicit W and
+      checks hermiticity, positivity and trace; ``validate=False`` skips all
+      checks (diagnostic probing of broken candidates). ``terms`` is empty.
+    * factored: :func:`embed_definite_order` and :func:`mix_processes` keep
+      ``terms``, a convex sum of :class:`WiringTerm` circuits whose
+      hermiticity and positivity hold factor-wise. Each term's wire chain
+      and the trace ``sum_t weight_t tr(rho_t) * prod d_out`` are checked
+      (the weights by :func:`mix_processes`), and W itself is never stored.
+
+    ``matrix`` is the dense W; for a factored process it is built on each
+    request, and refused above :data:`DENSE_W_BUDGET_BYTES`.
     """
 
-    matrix: np.ndarray
     lab_dims: LabDims
-    validate: InitVar[bool] = True
-    certified: InitVar[bool] = False
-    copy: InitVar[bool] = True
+    terms: tuple[WiringTerm, ...]
+    _dense: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self, validate: bool, certified: bool, copy: bool):
-        object.__setattr__(self, "lab_dims", _normalize_lab_dims(self.lab_dims))
-        m = mx.as_complex_matrix(self.matrix, "process matrix")
+    def __init__(self, matrix: np.ndarray, lab_dims, validate: bool = True):
+        self._set(_normalize_lab_dims(lab_dims), (), None)
+        m = mx.as_complex_matrix(matrix, "process matrix")
         d = self.total_dim
         if m.shape != (d, d):
             raise DimensionMismatch(
                 f"process matrix shape {m.shape} != ({d}, {d}) for lab dims {self.lab_dims}"
             )
         if validate:
-            if not certified:
-                dev = mx.hermiticity_deviation(m)
-                if dev > mx.HERMITICITY_TOL:
-                    raise ValidationError(
-                        f"process matrix is not hermitian (deviation {dev:.3e})"
-                    )
-            tr = complex(np.trace(m)).real
-            if abs(tr - self.output_dim_product) > PROCESS_TRACE_TOL:
+            dev = mx.hermiticity_deviation(m)
+            if dev > mx.HERMITICITY_TOL:
+                raise ValidationError(f"process matrix is not hermitian (deviation {dev:.3e})")
+            self._check_trace(complex(np.trace(m)).real)
+            low = mx.min_eigenvalue(m)
+            if low < -mx.PSD_TOL:
                 raise ValidationError(
-                    f"process matrix trace {tr} != product of output dims "
-                    f"{self.output_dim_product}"
+                    f"process matrix has eigenvalue {low:.3e} below -{mx.PSD_TOL}"
                 )
-            if not certified:
-                low = mx.min_eigenvalue(m)
-                if low < -mx.PSD_TOL:
-                    raise ValidationError(
-                        f"process matrix has eigenvalue {low:.3e} below -{mx.PSD_TOL}"
-                    )
-        if copy:
-            m = m.copy()
+        m = m.copy()
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_dense", m)
+
+    @classmethod
+    def _factored(cls, terms: Sequence[WiringTerm], lab_dims: LabDims) -> ProcessMatrix:
+        """A factored W; the weights are checked by the caller."""
+        by_lab = dict(zip(LABS, lab_dims))
+        for t in terms:
+            _check_chain(t.state, t.order, by_lab)
+        w = cls.__new__(cls)
+        w._set(lab_dims, tuple(terms), None)
+        tr = sum(t.weight * complex(np.trace(t.state.matrix)).real for t in terms)
+        w._check_trace(tr * w.output_dim_product)
+        return w
+
+    def _set(self, lab_dims: LabDims, terms: tuple[WiringTerm, ...], dense) -> None:
+        object.__setattr__(self, "lab_dims", lab_dims)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_dense", dense)
+
+    def _check_trace(self, tr: float) -> None:
+        if abs(tr - self.output_dim_product) > PROCESS_TRACE_TOL:
+            raise ValidationError(
+                f"process matrix trace {tr} != product of output dims {self.output_dim_product}"
+            )
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._dense is not None:
+            return self._dense
+        check_dense_budget(self.lab_dims)
+        by_lab = dict(zip(LABS, self.lab_dims))
+        w = _wiring_matrix(self.terms[0], by_lab)
+        for t in self.terms[1:]:
+            w += _wiring_matrix(t, by_lab)
+        w.setflags(write=False)
+        return w
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
@@ -164,6 +228,71 @@ class ProcessMatrix:
         return self.lab_dims[LABS.index(lab)]
 
 
+def check_dense_budget(lab_dims: LabDims) -> None:
+    """Refuse a dense W over ``lab_dims`` larger than DENSE_W_BUDGET_BYTES,
+    before anything of that size is allocated."""
+    d = math.prod(d for pair in lab_dims for d in pair)
+    nbytes = d * d * np.dtype(complex).itemsize
+    if nbytes > DENSE_W_BUDGET_BYTES:
+        raise ValidationError(
+            f"a dense process matrix over {tuple(lab_dims)} takes {nbytes / 2**20:.0f} MiB, "
+            f"above the {DENSE_W_BUDGET_BYTES / 2**20:.0f} MiB budget",
+            "lab_dims",
+        )
+
+
+def _check_chain(state: DensityMatrix, order: tuple[str, ...], by_lab) -> None:
+    if sorted(order) != sorted(LABS):
+        raise DimensionMismatch(f"order must be a permutation of {LABS}, got {order}")
+    first, second, third = order
+    if by_lab[first][0] != state.dim:
+        raise DimensionMismatch(
+            f"state dim {state.dim} != input dim {by_lab[first][0]} of first lab {first}"
+        )
+    for x, y in ((first, second), (second, third)):
+        if by_lab[x][1] != by_lab[y][0]:
+            raise DimensionMismatch(
+                f"output dim of lab {x} ({by_lab[x][1]}) != input dim of lab {y} "
+                f"({by_lab[y][0]})"
+            )
+
+
+def _wiring_matrix(term: WiringTerm, by_lab) -> np.ndarray:
+    """Dense W of one term, axes in the canonical (A_in, ..., E_out) order."""
+    # W = weight * rho^T on the first input, |I>><<I| wires between
+    # consecutive labs, identity on the last output. The wire projector
+    # factorizes per matrix side, |I>><<I|[(x,y),(x',y')] = d(x,y) d(x',y'),
+    # so W is a product of two-axis factors and can be materialized directly
+    # in the canonical axis order in a single pass.
+    first, second, third = term.order
+    canonical = [(lab, side) for lab in LABS for side in (0, 1)]
+    slot = {name: pos for pos, name in enumerate(canonical)}
+    factor_dims = [by_lab[lab][side] for lab, side in canonical]
+    full_shape = tuple(factor_dims) + tuple(factor_dims)
+
+    def expanded(factor: np.ndarray, ax_row: int, ax_col: int) -> np.ndarray:
+        shape = [1] * 12
+        lo, hi = sorted((ax_row, ax_col))
+        mat = factor if ax_row < ax_col else factor.T
+        shape[lo], shape[hi] = mat.shape
+        return mat.reshape(shape)
+
+    n = 6
+    rho_t = term.weight * term.state.matrix.T
+    factors = [expanded(rho_t, slot[(first, 0)], slot[(first, 0)] + n)]
+    for x, y in ((first, second), (second, third)):
+        eye = np.eye(by_lab[x][1], dtype=complex)
+        factors.append(expanded(eye, slot[(x, 1)], slot[(y, 0)]))
+        factors.append(expanded(eye, slot[(x, 1)] + n, slot[(y, 0)] + n))
+    eye_last = np.eye(by_lab[third][1], dtype=complex)
+    factors.append(expanded(eye_last, slot[(third, 1)], slot[(third, 1)] + n))
+    w = factors[0]
+    for f in factors[1:]:
+        w = w * f
+    d = math.prod(factor_dims)
+    return np.ascontiguousarray(np.broadcast_to(w, full_shape).reshape(d, d))
+
+
 def _stack_chois(instr: Instrument, lab: str, dims: tuple[int, int]) -> np.ndarray:
     if (instr.dim_in, instr.dim_out) != dims:
         raise DimensionMismatch(
@@ -171,6 +300,38 @@ def _stack_chois(instr: Instrument, lab: str, dims: tuple[int, int]) -> np.ndarr
             f"process expects {dims}"
         )
     return np.stack([choi_of_branch(b).matrix for b in instr.branches])
+
+
+def _dense_table(matrix: np.ndarray, chois: Sequence[np.ndarray]) -> np.ndarray:
+    """Raw complex table of an explicit W against the labs' Choi stacks."""
+    ca, cb, ce = chois
+    da, db, de = ca.shape[1], cb.shape[1], ce.shape[1]
+    wt = matrix.reshape(da, db, de, da, db, de)
+    # p[ijk] = sum C_A[i,a,a'] C_B[j,b,b'] C_E[k,c,c'] W[(a'b'c'),(abc)]
+    return np.einsum("iaA,jbB,kcC,ABCabc->ijk", ca, cb, ce, wt, optimize=True)
+
+
+def _factored_table(
+    terms: Sequence[WiringTerm], chois: Sequence[np.ndarray], lab_dims: LabDims
+) -> np.ndarray:
+    """Raw complex table of a factored W: per term, the link-product chain of
+    the Choi stacks along the term's order, weighted and summed."""
+    by_lab = dict(zip(LABS, lab_dims))
+    stacks = {
+        lab: c.reshape(len(c), *by_lab[lab], *by_lab[lab]) for lab, c in zip(LABS, chois)
+    }
+
+    def term_table(t: WiringTerm) -> np.ndarray:
+        # C[i, in, out, in', out'] against the term's W factors: rho^T[in', in]
+        # on the first lab, delta wires from each output to the next input on
+        # both matrix sides, and the last output traced out.
+        cx, cy, cz = (stacks[lab] for lab in t.order)
+        p = np.einsum("iabcd,ac->ibd", cx, t.state.matrix)
+        p = np.einsum("ibd,jbedf->ijef", p, cy)
+        p = np.einsum("ijef,kegfg->ijk", p, cz)
+        return p.transpose([t.order.index(lab) for lab in LABS])
+
+    return sum(t.weight * term_table(t) for t in terms)
 
 
 def process_joint(
@@ -182,18 +343,19 @@ def process_joint(
 ) -> JointDistribution:
     """Joint outcome table tr[(C_Ai (x) C_Bj (x) C_Ek) W] over all branches.
 
-    Raises :class:`NotNormalized` when the table does not sum to one, which
-    signals a W that is not a valid process for these instrument dimensions.
+    A factored W is contracted term by term and never materialized; an
+    explicit W is contracted in one pass. Raises :class:`NotNormalized`
+    when the table does not sum to one, which signals a W that is not a
+    valid process for these instrument dimensions.
     """
-    ca = _stack_chois(instr_a, "A", w.dims_of("A"))
-    cb = _stack_chois(instr_b, "B", w.dims_of("B"))
-    ce = _stack_chois(instr_e, "E", w.dims_of("E"))
-    da = ca.shape[1]
-    db = cb.shape[1]
-    de = ce.shape[1]
-    wt = w.matrix.reshape(da, db, de, da, db, de)
-    # p[ijk] = sum C_A[i,a,a'] C_B[j,b,b'] C_E[k,c,c'] W[(a'b'c'),(abc)]
-    raw = np.einsum("iaA,jbB,kcC,ABCabc->ijk", ca, cb, ce, wt, optimize=True)
+    chois = [
+        _stack_chois(instr, lab, w.dims_of(lab))
+        for instr, lab in zip((instr_a, instr_b, instr_e), LABS)
+    ]
+    if w.terms:
+        raw = _factored_table(w.terms, chois, w.lab_dims)
+    else:
+        raw = _dense_table(w.matrix, chois)
     worst_imag = float(np.abs(raw.imag).max())
     if worst_imag > 1e-8:
         raise NotNormalized(
@@ -209,7 +371,7 @@ def embed_definite_order(
     order: Sequence[str] = LABS,
     lab_dims=None,
 ) -> ProcessMatrix:
-    """Process matrix of a definite-order circuit.
+    """Process matrix of a definite-order circuit, in factored form.
 
     The state enters the first lab in ``order``; identity channels wire each
     lab's output to the next lab's input; the last output is discarded. The
@@ -217,65 +379,20 @@ def embed_definite_order(
     the lab output dimensions. ``process_joint`` on this W reproduces the
     sequential composition of the same instruments.
     """
-    order = tuple(order)
-    if sorted(order) != sorted(LABS):
-        raise DimensionMismatch(f"order must be a permutation of {LABS}, got {order}")
     if lab_dims is None:
         d = state.dim
         dims = ((d, d), (d, d), (d, d))
     else:
         dims = _normalize_lab_dims(lab_dims)
-    by_lab = dict(zip(LABS, dims))
-    first, second, third = order
-    if by_lab[first][0] != state.dim:
-        raise DimensionMismatch(
-            f"state dim {state.dim} != input dim {by_lab[first][0]} of first lab {first}"
-        )
-    for x, y in ((first, second), (second, third)):
-        if by_lab[x][1] != by_lab[y][0]:
-            raise DimensionMismatch(
-                f"output dim of lab {x} ({by_lab[x][1]}) != input dim of lab {y} "
-                f"({by_lab[y][0]})"
-            )
-
-    # W = rho^T on the first input, |I>><<I| wires between consecutive labs,
-    # identity on the last output. The wire projector factorizes per matrix
-    # side, |I>><<I|[(x,y),(x',y')] = d(x,y) d(x',y'), so W is a product of
-    # two-axis factors and can be materialized directly in the canonical
-    # (A_in, A_out, B_in, B_out, E_in, E_out) axis order in a single pass.
-    canonical = [(lab, side) for lab in LABS for side in (0, 1)]
-    slot = {name: pos for pos, name in enumerate(canonical)}
-    factor_dims = [by_lab[lab][side] for lab, side in canonical]
-    full_shape = tuple(factor_dims) + tuple(factor_dims)
-
-    def expanded(factor: np.ndarray, ax_row: int, ax_col: int) -> np.ndarray:
-        shape = [1] * 12
-        lo, hi = sorted((ax_row, ax_col))
-        mat = factor if ax_row < ax_col else factor.T
-        shape[lo], shape[hi] = mat.shape
-        return mat.reshape(shape)
-
-    n = 6
-    factors = [
-        expanded(state.matrix.T.astype(complex), slot[(first, 0)], slot[(first, 0)] + n)
-    ]
-    for x, y in ((first, second), (second, third)):
-        eye = np.eye(by_lab[x][1], dtype=complex)
-        factors.append(expanded(eye, slot[(x, 1)], slot[(y, 0)]))
-        factors.append(expanded(eye, slot[(x, 1)] + n, slot[(y, 0)] + n))
-    eye_last = np.eye(by_lab[third][1], dtype=complex)
-    factors.append(expanded(eye_last, slot[(third, 1)], slot[(third, 1)] + n))
-    w = factors[0]
-    for f in factors[1:]:
-        w = w * f
-    w = np.broadcast_to(w, full_shape).reshape(
-        int(np.prod(factor_dims)), int(np.prod(factor_dims))
-    )
-    return ProcessMatrix(np.ascontiguousarray(w), dims, certified=True, copy=False)
+    return ProcessMatrix._factored((WiringTerm(1.0, state, tuple(order)),), dims)
 
 
 def mix_processes(ws: Sequence[ProcessMatrix], weights: Sequence[float]) -> ProcessMatrix:
-    """Convex combination of process matrices with identical lab dimensions."""
+    """Convex combination of process matrices with identical lab dimensions.
+
+    Factored components give a factored mixture holding all their terms,
+    reweighted; a dense component makes the mixture dense.
+    """
     if not ws:
         raise DimensionMismatch("need at least one process matrix")
     if len(ws) != len(weights):
@@ -291,8 +408,12 @@ def mix_processes(ws: Sequence[ProcessMatrix], weights: Sequence[float]) -> Proc
             raise DimensionMismatch(
                 f"lab dims differ across components: {w.lab_dims} vs {dims}"
             )
-    mixed = sum(x * w.matrix for x, w in zip(weights, ws))
-    return ProcessMatrix(mixed, dims, certified=True, copy=False)
+    if all(w.terms for w in ws):
+        terms = [
+            WiringTerm(x * t.weight, t.state, t.order) for x, w in zip(weights, ws) for t in w.terms
+        ]
+        return ProcessMatrix._factored(terms, dims)
+    return ProcessMatrix(sum(x * w.matrix for x, w in zip(weights, ws)), dims)
 
 
 @dataclass(frozen=True)
@@ -336,13 +457,8 @@ def validate_process(
     for t in range(probe_trials):
         rng = trial_rng(seed, t)
         instrs = [random_instrument(d_in, d_out, rng) for d_in, d_out in dims]
-        ca, cb, ce = (
-            np.stack([choi_of_branch(b).matrix for b in instr.branches])
-            for instr in instrs
-        )
-        da, db, de = ca.shape[1], cb.shape[1], ce.shape[1]
-        wt = candidate.matrix.reshape(da, db, de, da, db, de)
-        raw = np.einsum("iaA,jbB,kcC,ABCabc->ijk", ca, cb, ce, wt, optimize=True)
+        chois = [_stack_chois(i, lab, pair) for i, lab, pair in zip(instrs, LABS, dims)]
+        raw = _dense_table(candidate.matrix, chois)
         worst = max(worst, abs(float(raw.real.sum()) - 1.0), float(np.abs(raw.imag).max()))
     passes = (
         herm <= mx.HERMITICITY_TOL

@@ -37,6 +37,7 @@ from .joint import (
 from .process import (
     LABS,
     ProcessMatrix,
+    check_dense_budget,
     embed_definite_order,
     mix_processes,
     process_joint,
@@ -272,6 +273,7 @@ def _parse_process(payload, scenario_id, tol, seed) -> Scenario:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValidationError("expected [dim_in, dim_out]", f"lab_dims.{lab}")
             lab_dims.append((int(pair[0]), int(pair[1])))
+        check_dense_budget(tuple(lab_dims))
         w = ProcessMatrix(_complex_matrix(payload["w"], "w"), tuple(lab_dims))
     elif "construction" in payload:
         cons = payload["construction"]

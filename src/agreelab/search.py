@@ -37,9 +37,10 @@ def random_process_setup(
 ) -> tuple[ProcessMatrix, tuple[Instrument, Instrument, Instrument], Event, str]:
     """Random definite-order embedding or convex mixture of causal orders.
 
-    Lab dimensions stay at or below ``max_dim``; most trials use smaller
-    wires (the W matrix grows as the sixth power of the dimension) with a
-    reproducible minority exercising the full bound.
+    Lab dimensions stay at or below ``max_dim``; most trials use wires of
+    dimension at most 3, with a reproducible minority exercising the full
+    bound. The processes are factored, so no trial builds its dense W, and
+    the draws keep their order so every trial replays from its generator.
     """
     cap = max_dim if rng.random() < 0.12 else min(3, max_dim)
     if rng.random() < 0.6:

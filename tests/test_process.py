@@ -1,5 +1,8 @@
 """Choi operators, definite-order embeddings, mixtures, and external W input."""
 
+import json
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -23,8 +26,10 @@ from agreelab import (
     violations,
 )
 from agreelab import matrices as mx
+from agreelab.cli import EXIT_OK, main
+from agreelab.process import DENSE_W_BUDGET_BYTES
 from agreelab.randomgen import random_density, random_instrument, trial_rng
-from agreelab.scenario import parse_scenario
+from agreelab.scenario import complex_matrix_to_json, parse_scenario
 
 
 class TestChoiOfBranch:
@@ -215,3 +220,110 @@ class TestIndefiniteOrderFromFile:
             except DimensionMismatch:
                 continue  # wire dims cannot even chain for this lab geometry
             assert np.abs(process_joint(w, *s.instruments).table - joint).max() > 1e-3
+
+
+def _dense_table(w, instrs):
+    """The joint table of ``w`` through the dense path: its materialized
+    matrix, held as an explicit W and contracted in one einsum."""
+    return process_joint(ProcessMatrix(w.matrix, w.lab_dims), *instrs).table
+
+
+def _chain_instruments(order, chain, rng):
+    """Instruments for labs A, B, E whose dims chain along ``order``."""
+    stage = {lab: (chain[t], chain[t + 1]) for t, lab in enumerate(order)}
+    dims = {lab: stage[lab] for lab in "ABE"}
+    return dims, [random_instrument(*dims[lab], rng) for lab in "ABE"]
+
+
+class TestFactoredMatchesDense:
+    """The factored contraction against the kept dense-W path, within 1e-12."""
+
+    @pytest.mark.parametrize("k, order", list(enumerate(permutations("ABE"))))
+    def test_every_order(self, k, order):
+        rng = trial_rng(31, k)
+        state = random_density(3, rng)
+        instrs = [random_instrument(3, 3, rng) for _ in range(3)]
+        w = embed_definite_order(state, order)
+        assert w.terms and w.total_dim == 3**6
+        assert np.abs(process_joint(w, *instrs).table - _dense_table(w, instrs)).max() < 1e-12
+
+    def test_uneven_wire_chains(self):
+        for trial, order in enumerate(permutations("ABE")):
+            rng = trial_rng(32, trial)
+            chain = [int(d) for d in rng.integers(1, 4, size=4)]
+            dims, instrs = _chain_instruments(order, chain, rng)
+            w = embed_definite_order(random_density(chain[0], rng), order, dims)
+            factored = process_joint(w, *instrs).table
+            assert np.abs(factored - _dense_table(w, instrs)).max() < 1e-12
+
+    @pytest.mark.parametrize("n_terms", [2, 3])
+    def test_mixtures(self, n_terms):
+        rng = trial_rng(33, n_terms)
+        orders = list(permutations("ABE"))
+        picked = [orders[k] for k in rng.choice(len(orders), n_terms, replace=False)]
+        ws = [embed_definite_order(random_density(2, rng), o) for o in picked]
+        weights = rng.dirichlet(np.ones(n_terms))
+        mixed = mix_processes(ws, weights)
+        assert len(mixed.terms) == n_terms
+        instrs = [random_instrument(2, 2, rng) for _ in range(3)]
+        factored = process_joint(mixed, *instrs).table
+        assert np.abs(factored - _dense_table(mixed, instrs)).max() < 1e-12
+
+    def test_mixture_with_a_dense_component_is_dense(self):
+        w = embed_definite_order(DensityMatrix.maximally_mixed(2))
+        dense = ProcessMatrix(w.matrix, w.lab_dims)
+        mixed = mix_processes([w, dense], [0.5, 0.5])
+        assert not mixed.terms
+        assert mixed.matrix == pytest.approx(w.matrix)
+
+    def test_factored_trace_is_checked(self):
+        w = embed_definite_order(DensityMatrix.maximally_mixed(2))
+        with pytest.raises(ValidationError, match="trace"):
+            ProcessMatrix._factored([w.terms[0], w.terms[0]], w.lab_dims)
+
+
+def _instrument_json(instr):
+    return [[complex_matrix_to_json(k) for k in branch] for branch in instr.branches]
+
+
+class TestDenseBudget:
+    """A dense W above the byte budget fails before it is allocated."""
+
+    def test_lab_dimension_five_construction_runs_factored(self, tmp_path, capsys):
+        assert (5**6) ** 2 * 16 > DENSE_W_BUDGET_BYTES
+        rng = trial_rng(34)
+        payload = {
+            "backend": "process",
+            "construction": {
+                "kind": "mixture",
+                "state": {"matrix": complex_matrix_to_json(random_density(5, rng).matrix)},
+                "components": [
+                    {"order": ["A", "B", "E"], "weight": 0.25},
+                    {"order": ["E", "B", "A"], "weight": 0.75},
+                ],
+            },
+            "instruments": {lab: _instrument_json(random_instrument(5, 5, rng)) for lab in "ABE"},
+            "event": [0],
+        }
+        path = tmp_path / "d5.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path), "--format", "records"]) == EXIT_OK
+        assert '"violations": 0' in capsys.readouterr().out
+        s = parse_scenario(path.read_text())
+        with pytest.raises(ValidationError, match="budget"):
+            s.process.matrix
+
+    def test_oversize_explicit_w_refused_before_parsing(self, tmp_path, capsys):
+        payload = {
+            "backend": "process",
+            "lab_dims": {"A": [5, 5], "B": [5, 5], "E": [5, 5]},
+            "w": "never read",
+            "instruments": {lab: _instrument_json(Instrument.identity(5)) for lab in "ABE"},
+            "event": [0],
+        }
+        with pytest.raises(ValidationError, match="budget"):
+            parse_scenario(json.dumps(payload))
+        path = tmp_path / "w5.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == 3
+        assert "budget" in capsys.readouterr().err

@@ -1,5 +1,10 @@
 """Fuzz harness determinism and zero-violation sweeps."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from agreelab import ValidationError
@@ -49,3 +54,36 @@ def test_bad_arguments_rejected():
         fuzz_search("table", trials=0)
     with pytest.raises(ValidationError):
         fuzz_search("stochastic", trials=5)
+
+
+def test_process_fuzz_summary_is_pinned():
+    # recorded from the dense-W contraction; the factored one must reproduce
+    # every closure of the acceptance fuzz
+    summary = fuzz_search("process", 500, seed=42)
+    assert summary.closures_examined == 1997
+    assert summary.max_steps == 2
+    assert summary.closure_sizes == (
+        ((0, 0), 1817), ((1, 1), 25), ((1, 2), 18), ((1, 3), 9), ((1, 4), 5),
+        ((2, 1), 10), ((2, 2), 21), ((2, 3), 15), ((2, 4), 10),
+        ((3, 1), 11), ((3, 2), 12), ((3, 3), 16), ((3, 4), 6),
+        ((4, 1), 6), ((4, 2), 7), ((4, 3), 6), ((4, 4), 3),
+    )
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+def test_process_fuzz_peak_memory():
+    # a dense two-order mixture at lab dimension 4 alone would hold 256 MiB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import resource, sys\n"
+        "from agreelab.search import fuzz_search\n"
+        "fuzz_search('process', 500, seed=42)\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak / 2**20 if sys.platform == 'darwin' else peak / 2**10)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) < 200.0, f"peak RSS {out.stdout.strip()} MB"
