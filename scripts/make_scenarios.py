@@ -133,8 +133,8 @@ def main() -> None:
     }
 
     w = switch_w(np.array([1.0, 0.0]))
-    diag = validate_process(w, ((2, 2), (2, 2), (4, 1)), probe_trials=12, seed=3)
-    assert diag.passes, diag
+    diag = validate_process(w, ((2, 2), (2, 2), (4, 1)))
+    assert diag.passes and diag.validity_deviation < 1e-12, diag
     switch = {
         "id": "order-superposition-switch",
         "backend": "process",

@@ -45,10 +45,8 @@ from .joint import (
     validate_joint,
 )
 from .process import (
-    ChoiOperator,
     ProcessDiagnostics,
     ProcessMatrix,
-    choi_of_branch,
     embed_definite_order,
     mix_processes,
     process_joint,
@@ -61,6 +59,7 @@ from .quantum import (
     QuantumScenario,
     apply_branch,
     block_rotation_scenario,
+    choi_stack,
     closed_form_posteriors,
     sequential_joint,
     validate_instrument,

@@ -7,8 +7,6 @@ first factor is the most significant index block.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -42,10 +40,6 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    return is_hermitian(m, max(tol, HERMITICITY_TOL)) and min_eigenvalue(m) >= -tol
-
-
 def bell_vector(dim: int) -> np.ndarray:
     """Unnormalized maximally entangled vector sum_x |x,x> on dim*dim."""
     v = np.zeros(dim * dim, dtype=complex)
@@ -57,54 +51,3 @@ def projector(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     return np.outer(v, v.conj())
 
-
-def choi_matrix(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix of a CP map given by Kraus operators, input factor first.
-
-    With ``|phi+> = sum_x |x>|x>`` on two copies of the input space,
-
-        C = sum_m (id (x) K_m) |phi+><phi+| (id (x) K_m)^dag
-          = sum_{x,y} |x><y| (x) M(|x><y|),
-
-    a matrix on H_in (x) H_out. ``(id (x) K)|phi+>`` is the column-stacked
-    ``K.T``, which is what the code below uses.
-    """
-    ks = [as_complex_matrix(k, "kraus operator") for k in kraus_ops]
-    if not ks:
-        raise DimensionMismatch("a CP map needs at least one Kraus operator")
-    d_out, d_in = ks[0].shape
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for k in ks:
-        if k.shape != (d_out, d_in):
-            raise DimensionMismatch(
-                f"kraus operators disagree in shape: {k.shape} vs {(d_out, d_in)}"
-            )
-        v = k.T.reshape(-1)
-        c += np.outer(v, v.conj())
-    return c
-
-
-def permute_subsystems(
-    m: np.ndarray, dims: Sequence[int], perm: Sequence[int]
-) -> np.ndarray:
-    """Reorder the tensor factors of a square matrix on a kron-product space.
-
-    ``dims`` are the factor dimensions in the current order; ``perm[k]`` is
-    the index (into ``dims``) of the factor placed at output position ``k``.
-    """
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    total = int(np.prod(dims))
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (total, total):
-        raise DimensionMismatch(
-            f"matrix shape {m.shape} does not match factor dims {dims}"
-        )
-    if sorted(perm) != list(range(n)):
-        raise DimensionMismatch(f"perm {perm} is not a permutation of 0..{n - 1}")
-    if list(perm) == list(range(n)):
-        return m
-    t = m.reshape(dims + dims)
-    axes = list(perm) + [p + n for p in perm]
-    out = t.transpose(axes).reshape(total, total)
-    return np.ascontiguousarray(out)

@@ -15,15 +15,20 @@ Conventions, fixed once and used everywhere:
 
 * Choi operators put the input factor first:
   ``C = (id (x) M)(|phi+><phi+|)`` on ``H_in (x) H_out`` with the
-  unnormalized ``|phi+> = sum_x |x>|x>``.
+  unnormalized ``|phi+> = sum_x |x>|x>``; :func:`agreelab.quantum.choi_stack`
+  builds all branches of an instrument at once.
 * W acts on the six-factor space ordered
   ``(A_in, A_out, B_in, B_out, E_in, E_out)``.
-* A valid W is hermitian, positive semidefinite, and has trace equal to
-  the product of the lab output dimensions.
+* A valid W is hermitian, positive semidefinite, has trace equal to the
+  product of the lab output dimensions, and satisfies the linear condition
+  ``W = L_V(W)`` of Araujo et al. (NJP 17:102001, 2015), which rules out
+  causal loops that the first three checks let through.
 
 This ordering is part of the scenario file contract; a mismatched
 convention is the dominant failure mode when importing external W
-matrices, so validate with :func:`validate_process` before trusting one.
+matrices. :func:`validate_process` reports all four checks, and an
+explicit ``ProcessMatrix`` runs it at construction, raising
+:class:`ValidationError` that names the first failing check.
 
 A :class:`ProcessMatrix` is held in one of two forms. Constructed
 processes (:func:`embed_definite_order`, :func:`mix_processes`) are
@@ -49,11 +54,16 @@ import numpy as np
 from . import matrices as mx
 from .errors import BadWeights, DimensionMismatch, NotNormalized, ValidationError
 from .joint import DEFAULT_TOL, JointDistribution, OutcomeSpace, validate_joint
-from .quantum import DensityMatrix, Instrument
+from .quantum import DensityMatrix, Instrument, choi_stack
 
 LABS = ("A", "B", "E")
 
 PROCESS_TRACE_TOL = 1e-8
+
+# Largest max|W - L_V(W)| accepted as a valid process. L_V is a projector
+# and fixes every valid W exactly, so the deviation of a valid W is float
+# round-off (below 1e-16 on the shipped fixtures).
+VALIDITY_TOL = 1e-7
 
 # Largest dense W, in bytes, that the package builds or reads from a file:
 # every wire at dimension 4, a 4^6 x 4^6 complex matrix (256 MiB). Lab
@@ -61,39 +71,6 @@ PROCESS_TRACE_TOL = 1e-8
 DENSE_W_BUDGET_BYTES = 2**28
 
 LabDims = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class ChoiOperator:
-    """Choi matrix of one CP branch, on H_in (x) H_out (input factor first)."""
-
-    dim_in: int
-    dim_out: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = mx.as_complex_matrix(self.matrix, "choi matrix")
-        d = self.dim_in * self.dim_out
-        if m.shape != (d, d):
-            raise DimensionMismatch(
-                f"choi matrix shape {m.shape} != ({d}, {d}) for dims "
-                f"{self.dim_in}->{self.dim_out}"
-            )
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def choi_of_branch(branch: Sequence[np.ndarray]) -> ChoiOperator:
-    """Choi operator of a CP map given in Kraus form.
-
-    Positive semidefinite by construction; the identity channel maps to the
-    unnormalized maximally entangled projector with trace equal to the
-    dimension.
-    """
-    ks = [mx.as_complex_matrix(k, "kraus operator") for k in branch]
-    d_out, d_in = ks[0].shape
-    return ChoiOperator(d_in, d_out, mx.choi_matrix(ks))
 
 
 def _normalize_lab_dims(lab_dims) -> LabDims:
@@ -139,7 +116,8 @@ class ProcessMatrix:
     A process matrix is held in one of two forms:
 
     * dense: ``ProcessMatrix(matrix, lab_dims)`` keeps an explicit W and
-      checks hermiticity, positivity and trace; ``validate=False`` skips all
+      runs :func:`validate_process` on it, raising :class:`ValidationError`
+      that names the first failing check; ``validate=False`` skips these
       checks (diagnostic probing of broken candidates). ``terms`` is empty.
     * factored: :func:`embed_definite_order` and :func:`mix_processes` keep
       ``terms``, a convex sum of :class:`WiringTerm` circuits whose
@@ -157,22 +135,11 @@ class ProcessMatrix:
 
     def __init__(self, matrix: np.ndarray, lab_dims, validate: bool = True):
         self._set(_normalize_lab_dims(lab_dims), (), None)
-        m = mx.as_complex_matrix(matrix, "process matrix")
-        d = self.total_dim
-        if m.shape != (d, d):
-            raise DimensionMismatch(
-                f"process matrix shape {m.shape} != ({d}, {d}) for lab dims {self.lab_dims}"
-            )
+        m = _as_process_matrix(matrix, self.lab_dims)
         if validate:
-            dev = mx.hermiticity_deviation(m)
-            if dev > mx.HERMITICITY_TOL:
-                raise ValidationError(f"process matrix is not hermitian (deviation {dev:.3e})")
-            self._check_trace(complex(np.trace(m)).real)
-            low = mx.min_eigenvalue(m)
-            if low < -mx.PSD_TOL:
-                raise ValidationError(
-                    f"process matrix has eigenvalue {low:.3e} below -{mx.PSD_TOL}"
-                )
+            failure = validate_process(m, self.lab_dims).failure
+            if failure is not None:
+                raise ValidationError(f"process matrix {failure}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "_dense", m)
@@ -226,6 +193,18 @@ class ProcessMatrix:
 
     def dims_of(self, lab: str) -> tuple[int, int]:
         return self.lab_dims[LABS.index(lab)]
+
+
+def _as_process_matrix(matrix, lab_dims: LabDims) -> np.ndarray:
+    m = mx.as_complex_matrix(matrix, "process matrix")
+    d = math.prod(d for pair in lab_dims for d in pair)
+    if m.shape != (d, d):
+        raise DimensionMismatch(
+            f"process matrix shape {m.shape} != ({d}, {d}) for lab dims {lab_dims}"
+        )
+    if not np.isfinite(m).all():
+        raise ValidationError("process matrix has non-finite entries")
+    return m
 
 
 def check_dense_budget(lab_dims: LabDims) -> None:
@@ -299,7 +278,7 @@ def _stack_chois(instr: Instrument, lab: str, dims: tuple[int, int]) -> np.ndarr
             f"instrument for lab {lab} has dims {(instr.dim_in, instr.dim_out)}, "
             f"process expects {dims}"
         )
-    return np.stack([choi_of_branch(b).matrix for b in instr.branches])
+    return choi_stack(instr)
 
 
 def _dense_table(matrix: np.ndarray, chois: Sequence[np.ndarray]) -> np.ndarray:
@@ -418,52 +397,80 @@ def mix_processes(ws: Sequence[ProcessMatrix], weights: Sequence[float]) -> Proc
 
 @dataclass(frozen=True)
 class ProcessDiagnostics:
-    """Consistency report for a candidate process matrix."""
+    """Consistency report for a candidate process matrix.
+
+    ``validity_deviation`` is ``max|W - L_V(W)|``; it is zero for a W that
+    gives normalized probabilities to every choice of local instruments,
+    and nonzero for one that, like a causal loop, does not.
+    """
 
     hermiticity_deviation: float
     min_eigenvalue: float
     trace_deviation: float
-    max_normalization_error: float
-    passes: bool
+    validity_deviation: float
+
+    @property
+    def failure(self) -> str | None:
+        """The first failing check, described, or None when W is valid."""
+        if self.hermiticity_deviation > mx.HERMITICITY_TOL:
+            return f"is not hermitian (deviation {self.hermiticity_deviation:.3e})"
+        if self.trace_deviation > PROCESS_TRACE_TOL:
+            return f"trace is off the product of output dims by {self.trace_deviation:.3e}"
+        if self.min_eigenvalue < -mx.PSD_TOL:
+            return f"has eigenvalue {self.min_eigenvalue:.3e} below -{mx.PSD_TOL}"
+        if self.validity_deviation > VALIDITY_TOL:
+            return (
+                f"violates W = L_V(W): max|W - L_V(W)| = {self.validity_deviation:.3e} "
+                f"above {VALIDITY_TOL}"
+            )
+        return None
+
+    @property
+    def passes(self) -> bool:
+        return self.failure is None
 
 
-def validate_process(
-    matrix: np.ndarray,
-    lab_dims,
-    probe_trials: int = 8,
-    seed: int = 0,
-    tol_psd: float = mx.PSD_TOL,
-    tol_trace: float = PROCESS_TRACE_TOL,
-    tol_norm: float = 1e-7,
-) -> ProcessDiagnostics:
-    """Diagnose a candidate W: hermiticity, positivity, trace, and an
-    operational probe that checks normalization of the joint table against
-    randomly generated valid instruments.
+def _discard(w: np.ndarray, pre: int, d: int, post: int) -> np.ndarray:
+    """Trace out the dimension-d factor sitting between dimensions pre and
+    post of the space W acts on, and put back the normalized identity."""
+    traced = np.einsum("akbAkB->abAB", w.reshape(pre, d, post, pre, d, post)) / d
+    return np.einsum("abAB,kK->akbAKB", traced, np.eye(d)).reshape(w.shape)
 
-    The probe is the operative test of the consistency requirements: a W
-    passing it yields well-defined joint distributions for the instruments
-    exercised, which is what the downstream machinery needs.
+
+def _validity_deviation(m: np.ndarray, lab_dims: LabDims) -> float:
+    """max|W - L_V(W)| for the projector onto valid processes (Araujo et al.,
+    "Witnessing causal nonseparability", NJP 17:102001 (2015)):
+
+        L_V(W) = W - prod_X (1 - (X_out) + (X_in X_out)) W + (all) W,
+
+    where (S) traces out the factors S and puts back the normalized identity.
     """
-    from .randomgen import random_instrument, trial_rng
+    total = m.shape[0]
+    t, pre = m, 1
+    for d_in, d_out in lab_dims:
+        post = total // (pre * d_in * d_out)
+        t = t - _discard(t, pre * d_in, d_out, post) + _discard(t, pre, d_in * d_out, post)
+        pre *= d_in * d_out
+    # W - L_V(W) = prod_X(...) W - (all) W
+    return float(np.abs(t - np.trace(m) / total * np.eye(total)).max())
 
+
+def validate_process(matrix: np.ndarray, lab_dims) -> ProcessDiagnostics:
+    """Diagnose a candidate W: hermiticity, positivity, trace, and the exact
+    linear validity condition W = L_V(W).
+
+    A W passing all four gives normalized, nonnegative joint tables for
+    every choice of local instruments, which is what the downstream
+    machinery needs. Hermitian, positive, correctly normalized matrices
+    that fail only the last check exist: a causal loop is one. A W with a
+    non-finite entry raises :class:`ValidationError` instead.
+    """
     dims = _normalize_lab_dims(lab_dims)
-    m = mx.as_complex_matrix(matrix, "process matrix")
-    herm = mx.hermiticity_deviation(m)
-    low = mx.min_eigenvalue(m)
-    out_product = int(np.prod([pair[1] for pair in dims]))
-    trace_dev = abs(complex(np.trace(m)).real - out_product)
-    candidate = ProcessMatrix(m, dims, validate=False)
-    worst = 0.0
-    for t in range(probe_trials):
-        rng = trial_rng(seed, t)
-        instrs = [random_instrument(d_in, d_out, rng) for d_in, d_out in dims]
-        chois = [_stack_chois(i, lab, pair) for i, lab, pair in zip(instrs, LABS, dims)]
-        raw = _dense_table(candidate.matrix, chois)
-        worst = max(worst, abs(float(raw.real.sum()) - 1.0), float(np.abs(raw.imag).max()))
-    passes = (
-        herm <= mx.HERMITICITY_TOL
-        and low >= -tol_psd
-        and trace_dev <= tol_trace
-        and worst <= tol_norm
+    m = _as_process_matrix(matrix, dims)
+    out_product = math.prod(d_out for _, d_out in dims)
+    return ProcessDiagnostics(
+        mx.hermiticity_deviation(m),
+        mx.min_eigenvalue(m),
+        abs(complex(np.trace(m)).real - out_product),
+        _validity_deviation(m, dims),
     )
-    return ProcessDiagnostics(herm, low, trace_dev, worst, passes)

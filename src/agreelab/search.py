@@ -28,8 +28,7 @@ from .randomgen import (
     random_quantum_scenario,
     trial_rng,
 )
-
-BACKENDS = ("table", "classical", "quantum", "process")
+from .scenario import BACKENDS
 
 
 def random_process_setup(

@@ -1,4 +1,4 @@
-"""Choi operators, definite-order embeddings, mixtures, and external W input."""
+"""Choi stacks, definite-order embeddings, mixtures, and external W input."""
 
 import json
 from itertools import permutations
@@ -15,7 +15,7 @@ from agreelab import (
     ProcessMatrix,
     QuantumScenario,
     ValidationError,
-    choi_of_branch,
+    choi_stack,
     embed_definite_order,
     mix_processes,
     process_joint,
@@ -32,12 +32,12 @@ from agreelab.randomgen import random_density, random_instrument, trial_rng
 from agreelab.scenario import complex_matrix_to_json, parse_scenario
 
 
-class TestChoiOfBranch:
+class TestChoiStack:
     def test_identity_channel(self):
-        c = choi_of_branch((np.eye(3, dtype=complex),))
+        (c,) = choi_stack(Instrument.identity(3))
         bell = mx.bell_vector(3)
-        assert c.matrix == pytest.approx(np.outer(bell, bell.conj()))
-        assert np.trace(c.matrix).real == pytest.approx(3.0)
+        assert c == pytest.approx(np.outer(bell, bell.conj()))
+        assert np.trace(c).real == pytest.approx(3.0)
 
     def test_completely_depolarizing_qubit(self):
         paulis = [
@@ -46,16 +46,29 @@ class TestChoiOfBranch:
             np.array([[0, -1j], [1j, 0]], dtype=complex),
             np.array([[1, 0], [0, -1]], dtype=complex),
         ]
-        c = choi_of_branch(tuple(p / 2 for p in paulis))
-        assert c.matrix == pytest.approx(np.eye(4) / 2)
-        assert np.trace(c.matrix).real == pytest.approx(2.0)
+        (c,) = choi_stack(Instrument((tuple(p / 2 for p in paulis),)))
+        assert c == pytest.approx(np.eye(4) / 2)
+        assert np.trace(c).real == pytest.approx(2.0)
 
     def test_projector_branch(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        c = choi_of_branch((p0,))
-        assert np.trace(c.matrix).real == pytest.approx(1.0)
-        assert np.linalg.matrix_rank(c.matrix) == 1
-        assert mx.min_eigenvalue(c.matrix) >= -1e-12
+        c = choi_stack(Instrument(((p0,), (np.eye(2) - p0,))))[0]
+        assert np.trace(c).real == pytest.approx(1.0)
+        assert np.linalg.matrix_rank(c) == 1
+        assert mx.min_eigenvalue(c) >= -1e-12
+
+    def test_branches_of_one_two_and_three_kraus_operators(self):
+        rng = trial_rng(35)
+        branches = tuple(
+            tuple(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(n))
+            for n in (1, 2, 3)
+        )
+        stack = choi_stack(Instrument(branches, check=False))
+        assert stack.shape == (3, 6, 6)
+        for c, branch in zip(stack, branches):
+            vecs = [k.T.reshape(-1) for k in branch]
+            expected = sum(np.outer(v, v.conj()) for v in vecs)
+            assert np.abs(c - expected).max() < 1e-12
 
 
 class TestEmbedDefiniteOrder:
@@ -168,24 +181,52 @@ class TestMixProcesses:
             mix_processes([w, w], [1.5, -0.5])
 
 
+def _causal_loop():
+    """Identity wires A_out -> B_in and B_out -> A_in, and a maximally mixed
+    E_in: hermitian, positive and of the right trace, yet not a process."""
+    wire = mx.projector(mx.bell_vector(2)).reshape(2, 2, 2, 2)
+    # factors (A_in, A_out, B_in, B_out, E_in) on each matrix side
+    w = np.einsum("bcBC,daDA,eE->abcdeABCDE", wire, wire, np.eye(2) / 2)
+    return w.reshape(32, 32), ((2, 2), (2, 2), (2, 1))
+
+
+def _measure_and_prepare(d_in, d_out):
+    """Measure the computational basis, prepare |0> (Kraus |0><i|)."""
+    return tuple(
+        (np.outer(np.eye(d_out)[0], np.eye(d_in)[i]).astype(complex),) for i in range(d_in)
+    )
+
+
 class TestValidateProcess:
     def test_embedding_passes(self):
         w = embed_definite_order(DensityMatrix.maximally_mixed(2))
-        diag = validate_process(w.matrix, w.lab_dims, probe_trials=6, seed=1)
+        diag = validate_process(w.matrix, w.lab_dims)
         assert diag.passes
-        assert diag.max_normalization_error < 1e-9
+        assert diag.validity_deviation < 1e-9
+
+    @pytest.mark.parametrize("order", ["ABE", "BAE", "EBA"])
+    def test_definite_orders_and_their_mixture_are_fixed_by_l_v(self, order):
+        rng = trial_rng(36)
+        state = random_density(2, rng)
+        w = mix_processes(
+            [embed_definite_order(state, tuple(order)), embed_definite_order(state, ("B", "E", "A"))],
+            [0.3, 0.7],
+        )
+        diag = validate_process(w.matrix, w.lab_dims)
+        assert diag.passes
+        assert diag.validity_deviation < 1e-12
 
     def test_non_hermitian_fails(self):
         w = embed_definite_order(DensityMatrix.maximally_mixed(2))
         bad = w.matrix.copy()
         bad[0, 1] += 0.1
-        diag = validate_process(bad, w.lab_dims, probe_trials=2, seed=1)
+        diag = validate_process(bad, w.lab_dims)
         assert not diag.passes
         assert diag.hermiticity_deviation > 0.05
 
     def test_wrong_trace_fails(self):
         w = embed_definite_order(DensityMatrix.maximally_mixed(2))
-        diag = validate_process(2.0 * w.matrix, w.lab_dims, probe_trials=2, seed=1)
+        diag = validate_process(2.0 * w.matrix, w.lab_dims)
         assert not diag.passes
         assert diag.trace_deviation > 1.0
 
@@ -193,16 +234,53 @@ class TestValidateProcess:
         w = embed_definite_order(DensityMatrix.maximally_mixed(2))
         bad = w.matrix.copy()
         bad[0, 1] += 0.1
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="hermitian"):
             ProcessMatrix(bad, w.lab_dims)
+
+    def test_non_finite_entry_rejected(self):
+        w = embed_definite_order(DensityMatrix.maximally_mixed(2))
+        bad = w.matrix.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            ProcessMatrix(bad, w.lab_dims)
+
+    def test_causal_loop_fails_only_the_validity_check(self):
+        w, dims = _causal_loop()
+        diag = validate_process(w, dims)
+        assert not diag.passes
+        assert diag.validity_deviation == pytest.approx(0.5)
+        assert diag.hermiticity_deviation <= mx.HERMITICITY_TOL
+        assert diag.min_eigenvalue >= -mx.PSD_TOL
+        assert diag.trace_deviation < 1e-12
+        with pytest.raises(ValidationError, match="L_V"):
+            ProcessMatrix(w, dims)
+
+    def test_causal_loop_scenario_exits_3(self, tmp_path, capsys):
+        w, dims = _causal_loop()
+        payload = {
+            "backend": "process",
+            "lab_dims": dict(zip("ABE", dims)),
+            "w": complex_matrix_to_json(w),
+            "instruments": {
+                "A": _instrument_json(Instrument(_measure_and_prepare(2, 2))),
+                "B": _instrument_json(Instrument(_measure_and_prepare(2, 2))),
+                "E": _instrument_json(Instrument(_measure_and_prepare(2, 1))),
+            },
+            "event": [0],
+        }
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == 3
+        assert "L_V" in capsys.readouterr().err
 
 
 class TestIndefiniteOrderFromFile:
     def test_switch_scenario_is_valid_and_agrees(self, scenarios_dir):
         s = parse_scenario((scenarios_dir / "process_switch.json").read_text())
-        # full validation path: hermiticity, positivity, trace, then the probe
-        diag = validate_process(s.process.matrix, s.process.lab_dims, probe_trials=6, seed=2)
+        # full validation path: hermiticity, trace, positivity, then W = L_V(W)
+        diag = validate_process(s.process.matrix, s.process.lab_dims)
         assert diag.passes
+        assert diag.validity_deviation < 1e-12
         joint = process_joint(s.process, *s.instruments)
         assert joint.table.sum() == pytest.approx(1.0, abs=1e-9)
         reports = verify_agreement(joint, s.event)
