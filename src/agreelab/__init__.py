@@ -1,11 +1,16 @@
 """agreelab: joint outcome tables, common-knowledge closures, and agreement
-verification across classical, quantum, and process-matrix backends."""
+verification across classical, quantum, and process-matrix backends.
+
+``verify_agreement`` returns a :class:`SweepResult`: per-pair columns
+(``q_a``, ``q_b``, ``steps``, ``ck_holds``) that read as a sequence of
+:class:`CKReport`, each built when it is accessed."""
 
 from .agreement import (
     AnnouncementRound,
     CKReport,
     CKState,
     ProtocolTranscript,
+    SweepResult,
     as_effective_state_space,
     attained_posteriors,
     ck_closure,

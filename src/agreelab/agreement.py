@@ -22,9 +22,18 @@ a time and are the reference oracle. ``verify_agreement`` and
 ``singular_disagreement_check`` run a one-pass engine that returns the same
 reports: it computes each axis's posteriors once per (table, event) and
 clusters them once into a posterior partition. One certainty pass per level
-set gives the first closure step of every (q_a, q_b) pair at once, and each
-pair iterates from there on the shared pair marginal and certainty
-thresholds, with no per-pair recomputation.
+set gives the first closure step of every (q_a, q_b) pair at once. Most
+pairs keep no outcome on either side at that step; they are filled in one
+batch (one step, two empty sets), and only the other pairs iterate from
+there on the shared pair marginal and certainty thresholds, with no
+per-pair recomputation.
+
+``verify_agreement`` returns a columnar :class:`SweepResult`: per-pair
+arrays ``q_a``, ``q_b``, ``steps`` and ``ck_holds``, with the fixed-point
+sets kept only where they are nonempty. It is a sequence of
+:class:`CKReport` whose reports are built when they are read, through the
+same code for every access, so each equals ``ck_closure``'s. ``violations``
+and the fuzz read the arrays and build none.
 
 One tolerance ``tol`` plays three roles, all with the same default:
 
@@ -40,8 +49,12 @@ One tolerance ``tol`` plays three roles, all with the same default:
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -288,8 +301,9 @@ class _Engine:
     def level_set(self, side: int, q) -> np.ndarray:
         return np.array(self.parts[side].level_set(q), dtype=np.intp)
 
-    def certain(self, side: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Mask over ``rows`` of ``side``: which are certain of ``cols``.
+    def certain(self, side: int, rows, cols: np.ndarray) -> np.ndarray:
+        """Mask over ``rows`` (an index array, or a slice of every row) of
+        ``side``: which are certain of ``cols``.
 
         Each row is gathered contiguously and summed in ck_step's order.
         """
@@ -312,11 +326,16 @@ class _Engine:
             next_a, next_b = self.step(a, b)
         return a, b, steps
 
-    def report(self, q_a, q_b, a: np.ndarray, b: np.ndarray, steps: int) -> CKReport:
+    def weigh(self, a: np.ndarray, b: np.ndarray):
+        """The masses of fixed-point sets a and b, and whether they carry
+        common knowledge: both nonempty with mass above tol."""
         tol = self.tol
         mass_a = self.parts[0].masses[a].sum() if len(a) else self.zero
         mass_b = self.parts[1].masses[b].sum() if len(b) else self.zero
-        ck_holds = bool(len(a) and len(b) and mass_a > tol and mass_b > tol)
+        return mass_a, mass_b, bool(len(a) and len(b) and mass_a > tol and mass_b > tol)
+
+    def report(self, q_a, q_b, a: np.ndarray, b: np.ndarray, steps: int) -> CKReport:
+        mass_a, mass_b, ck_holds = self.weigh(a, b)
         return CKReport(
             q_a=q_a,
             q_b=q_b,
@@ -324,43 +343,139 @@ class _Engine:
             b_star=tuple(b.tolist()),
             steps=steps,
             ck_holds=ck_holds,
-            agrees=bool(abs(q_a - q_b) <= tol),
+            agrees=bool(abs(q_a - q_b) <= self.tol),
             mass_a=mass_a,
             mass_b=mass_b,
             witness=(int(a[0]), int(b[0])) if ck_holds else None,
         )
 
 
+_EMPTY = np.empty(0, dtype=np.intp)
+_EMPTY.setflags(write=False)
+
+
+class SweepResult(Sequence[CKReport]):
+    """The closure at every attained posterior pair of one (table, event),
+    stored as columns in row-major (q_a, q_b) order.
+
+    ``q_a``, ``q_b``, ``steps`` and ``ck_holds`` hold one entry per pair.
+    ``fixed_points`` maps a pair's index to its fixed-point sets
+    (A*, B*), as ascending index arrays, for the pairs where they are not
+    both empty; every other pair's are. As a sequence the result yields one
+    :class:`CKReport` per pair, built when it is read and equal to
+    ``ck_closure``'s at that pair; compare ``tuple(result)`` to compare
+    reports.
+    """
+
+    def __init__(
+        self,
+        engine: _Engine,
+        steps: np.ndarray,
+        ck_holds: np.ndarray,
+        fixed_points: dict[int, tuple[np.ndarray, np.ndarray]],
+    ):
+        self._engine = engine
+        self._reps = (engine.parts[0].representatives, engine.parts[1].representatives)
+        self.steps = steps
+        self.ck_holds = ck_holds
+        self.fixed_points = fixed_points
+
+    # built on first read: the fuzz and violations never read them
+    @cached_property
+    def q_a(self) -> np.ndarray:
+        reps_a, reps_b = self._reps
+        return np.repeat(np.array(reps_a), len(reps_b))
+
+    @cached_property
+    def q_b(self) -> np.ndarray:
+        reps_a, reps_b = self._reps
+        return np.tile(np.array(reps_b), len(reps_a))
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, index: int) -> CKReport:
+        index = operator.index(index)
+        if not -len(self) <= index < len(self):
+            raise IndexError(f"pair index {index} out of range for {len(self)} pairs")
+        index %= len(self)
+        return self._report(index, int(self.steps[index]))
+
+    def __iter__(self) -> Iterator[CKReport]:
+        for index, steps in enumerate(self.steps.tolist()):
+            yield self._report(index, steps)
+
+    def _report(self, index: int, steps: int) -> CKReport:
+        reps_a, reps_b = self._reps
+        k, l = divmod(index, len(reps_b))
+        a, b = self.fixed_points.get(index, (_EMPTY, _EMPTY))
+        return self._engine.report(reps_a[k], reps_b[l], a, b, steps)
+
+    def violating(self) -> list[int]:
+        """Indices of the pairs that hold common knowledge of differing
+        posteriors. Only a pair with a nonempty fixed point can hold it."""
+        reps_a, reps_b = self._reps
+        tol = self._engine.tol
+        return [
+            index
+            for index in self.fixed_points
+            if self.ck_holds[index]
+            and not abs(reps_a[index // len(reps_b)] - reps_b[index % len(reps_b)]) <= tol
+        ]
+
+
+def _keeps_any(certain: np.ndarray, level_sets: list[np.ndarray]) -> np.ndarray:
+    """``out[r, s]``: whether row r of ``certain`` (a mask over outcomes)
+    holds any outcome of level set s; every level set is nonempty."""
+    starts = list(accumulate([len(s) for s in level_sets[:-1]], initial=0))
+    return np.logical_or.reduceat(certain[:, np.concatenate(level_sets)], starts, axis=1)
+
+
 def verify_agreement(
     p: JointDistribution, event: Event, tol: float = DEFAULT_TOL
-) -> tuple[CKReport, ...]:
-    """Run the closure at every attained posterior pair and report.
+) -> SweepResult:
+    """Run the closure at every attained posterior pair.
 
-    A report with ``ck_holds`` and not ``agrees`` would witness common
-    knowledge of differing posteriors; for any valid joint table none
-    exists, and callers treat one as a hard failure. The reports equal
-    ``ck_closure``'s at each pair, in row-major (q_a, q_b) order.
+    A pair with ``ck_holds`` whose posteriors do not agree would witness
+    common knowledge of differing posteriors; for any valid joint table
+    none exists, and callers treat one as a hard failure. The result's
+    reports equal ``ck_closure``'s at each pair, in row-major (q_a, q_b)
+    order.
     """
     engine = _Engine(p, event, tol)
     sets_a, sets_b = (
-        [(q, engine.level_set(side, q)) for q in part.representatives]
+        [engine.level_set(side, q) for q in part.representatives]
         for side, part in enumerate(engine.parts)
     )
     # one certainty pass per level set gives every pair's first step: which
-    # outcomes of one axis are certain of each level set of the other
-    every_i, every_j = np.arange(p.space.size_i), np.arange(p.space.size_j)
-    certain_a = [engine.certain(0, every_i, b) for _, b in sets_b]
-    certain_b = [engine.certain(1, every_j, a) for _, a in sets_a]
-    return tuple(
-        [
-            engine.report(q_a, q_b, *engine.close(a, b, a[in_a[a]], b[in_b[b]]))
-            for (q_a, a), in_b in zip(sets_a, certain_b)
-            for (q_b, b), in_a in zip(sets_b, certain_a)
-        ]
-    )
+    # outcomes of one axis are certain of each level set of the other (the
+    # full slice reads every row in place, without gathering a copy)
+    every = slice(None)
+    certain_a = np.array([engine.certain(0, every, b) for b in sets_b])
+    certain_b = np.array([engine.certain(1, every, a) for a in sets_a])
+    # and whether that first step keeps any outcome of each level set: a
+    # pair that keeps none on either side is closed after one step, both
+    # sets empty. Each axis's level sets are read as consecutive runs of one
+    # gather, so this costs the same few numpy calls however many there are.
+    kept = _keeps_any(certain_a, sets_a).T | _keeps_any(certain_b, sets_b)
+    steps = np.ones(kept.size, dtype=np.intp)
+    ck_holds = np.zeros(kept.size, dtype=bool)
+    fixed_points = {}
+    for index in np.flatnonzero(kept).tolist():
+        k, l = divmod(index, len(sets_b))
+        a, b = sets_a[k], sets_b[l]
+        a, b, steps[index] = engine.close(a, b, a[certain_a[l, a]], b[certain_b[k, b]])
+        if len(a) or len(b):
+            fixed_points[index] = (a, b)
+            ck_holds[index] = engine.weigh(a, b)[2]
+    return SweepResult(engine, steps, ck_holds, fixed_points)
 
 
 def violations(reports) -> tuple[CKReport, ...]:
+    """The reports that hold common knowledge of differing posteriors; a
+    :class:`SweepResult` builds only those."""
+    if isinstance(reports, SweepResult):
+        return tuple([reports[index] for index in reports.violating()])
     return tuple(r for r in reports if r.ck_holds and not r.agrees)
 
 
@@ -374,7 +489,8 @@ def singular_disagreement_check(
     engine = _Engine(p, event, tol)
     for q_a, q_b in ((1.0, 0.0), (0.0, 1.0)):
         a, b = engine.level_set(0, q_a), engine.level_set(1, q_b)
-        if engine.report(q_a, q_b, *engine.close(a, b, *engine.step(a, b))).ck_holds:
+        a, b, _ = engine.close(a, b, *engine.step(a, b))
+        if engine.weigh(a, b)[2]:
             return False
     return True
 

@@ -188,13 +188,12 @@ def validate_joint(table, space: OutcomeSpace, tol: float = DEFAULT_TOL) -> Join
         )
     arr = arr.copy()
     flat = arr.reshape(-1)
-    for pos, value in enumerate(flat):
-        if value < 0:
-            if value <= -tol:
-                raise NegativeMass(
-                    f"entry at flat index {pos} is {value}, below -tol={-tol}"
-                )
-            flat[pos] = _zero_like(arr)
+    if flat.min() < 0:
+        bad = np.flatnonzero(flat <= -tol)
+        if len(bad):
+            pos = int(bad[0])
+            raise NegativeMass(f"entry at flat index {pos} is {flat[pos]}, below -tol={-tol}")
+        flat[flat < 0] = _zero_like(arr)
     total = flat.sum()
     if abs(total - 1) > tol:
         raise NotNormalized(f"table mass is {total}, not within {tol} of 1")

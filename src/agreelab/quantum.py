@@ -10,6 +10,7 @@ the rest of the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,9 +74,9 @@ class Instrument:
     """Outcome-indexed collection of CP maps summing to a trace-preserving map.
 
     ``branches[b]`` is the tuple of Kraus operators of branch b, each of
-    shape (dim_out, dim_in). Construction checks trace preservation of the
-    total map unless ``check=False`` (used to build deliberately broken
-    instruments for diagnostics).
+    shape (dim_out, dim_in). Construction refuses non-finite Kraus entries
+    and checks trace preservation of the total map unless ``check=False``
+    (used to build deliberately broken instruments for diagnostics).
     """
 
     branches: tuple[tuple[np.ndarray, ...], ...]
@@ -98,12 +99,16 @@ class Instrument:
                 ops.append(k)
             frozen.append(tuple(ops))
         object.__setattr__(self, "branches", tuple(frozen))
-        if self.check:
-            dev = completeness_deviation(self)
-            if dev > COMPLETENESS_TOL:
-                raise NotNormalized(
-                    f"instrument is not trace preserving: ||sum K^dag K - 1|| = {dev:.3e}"
-                )
+        if not self.check:
+            _refuse_non_finite(self)
+            return
+        dev = completeness_deviation(self)
+        # NaN, from a non-finite Kraus entry, fails this test too
+        if not dev <= COMPLETENESS_TOL:
+            _refuse_non_finite(self)
+            raise NotNormalized(
+                f"instrument is not trace preserving: ||sum K^dag K - 1|| = {dev:.3e}"
+            )
 
     @property
     def dim_in(self) -> int:
@@ -135,13 +140,26 @@ class Instrument:
         return cls(((np.eye(dim, dtype=complex),),))
 
 
+def _refuse_non_finite(instr: Instrument) -> None:
+    """Raise naming the first Kraus operator with a NaN or infinite entry."""
+    for b, branch in enumerate(instr.branches):
+        for m, k in enumerate(branch):
+            if not np.isfinite(k).all():
+                raise NotNormalized(f"kraus operator {m} of branch {b} has non-finite entries")
+
+
 def completeness_deviation(instr: Instrument) -> float:
-    """Spectral norm of sum_b sum_m K^dag K - identity."""
+    """Spectral norm of sum_b sum_m K^dag K - identity; NaN when a Kraus
+    entry is not finite, which leaves a diagonal entry of the sum NaN or
+    infinite."""
     d_in = instr.dim_in
     acc = np.zeros((d_in, d_in), dtype=complex)
-    for branch in instr.branches:
-        for k in branch:
-            acc += mx.dagger(k) @ k
+    with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite operator
+        for branch in instr.branches:
+            for k in branch:
+                acc += mx.dagger(k) @ k
+    if not np.isfinite(acc).all():
+        return math.nan
     return float(np.abs(np.linalg.eigvalsh(acc - np.eye(d_in))).max())
 
 

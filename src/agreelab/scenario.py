@@ -107,7 +107,10 @@ def _instrument(data, where: str) -> Instrument:
         branches.append(
             tuple(_complex_matrix(k, f"{where}[{b}][{m}]") for m, k in enumerate(branch))
         )
-    return Instrument(tuple(branches))
+    try:
+        return Instrument(tuple(branches))
+    except AgreeLabError as e:
+        raise ValidationError(str(e), where) from e
 
 
 @dataclass(frozen=True)
@@ -328,7 +331,7 @@ def run_scenario(s: Scenario, include_joint: bool = False) -> RunReport:
     start = time.perf_counter()
     joint = s.compute_joint()
     event = Event(joint.space, s.event.members)
-    reports = verify_agreement(joint, event, s.tol)
+    reports = tuple(verify_agreement(joint, event, s.tol))
     singular_ok = singular_disagreement_check(joint, event, s.tol)
     q_a, q_b = (
         tuple([None if q is None else float(q) for q in axis_posteriors(joint, event, axis)])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agreement import singular_disagreement_check, verify_agreement, violations
+from .agreement import singular_disagreement_check, verify_agreement
 from .classical import embed_classical
 from .errors import ValidationError
 from .joint import DEFAULT_TOL, Event, JointDistribution, OutcomeSpace
@@ -130,21 +130,26 @@ def fuzz_search(
     for t in range(trials):
         rng = trial_rng(seed, t)
         joint, event = _trial_joint(backend, rng, max_dim)
-        reports = verify_agreement(joint, event, tol)
-        closures += len(reports)
-        violation_count += len(violations(reports))
+        result = verify_agreement(joint, event, tol)
+        closures += len(result)
+        violation_count += len(result.violating())
         if not singular_disagreement_check(joint, event, tol):
             singular_failures += 1
-        for r in reports:
-            max_steps = max(max_steps, r.steps)
-            key = (len(r.a_star), len(r.b_star))
+        steps = int(result.steps.max())
+        max_steps = max(max_steps, steps)
+        bound = joint.space.size_i + joint.space.size_j
+        if steps > bound:
+            raise AssertionError(
+                f"closure took {steps} steps, above the {bound} bound "
+                f"(backend={backend}, seed={seed}, trial={t})"
+            )
+        # every pair without a stored fixed point has two empty sets
+        empty = len(result) - len(result.fixed_points)
+        if empty:
+            size_counts[(0, 0)] = size_counts.get((0, 0), 0) + empty
+        for a, b in result.fixed_points.values():
+            key = (len(a), len(b))
             size_counts[key] = size_counts.get(key, 0) + 1
-            bound = joint.space.size_i + joint.space.size_j
-            if r.steps > bound:
-                raise AssertionError(
-                    f"closure took {r.steps} steps, above the {bound} bound "
-                    f"(backend={backend}, seed={seed}, trial={t})"
-                )
     return FuzzSummary(
         backend=backend,
         trials=trials,

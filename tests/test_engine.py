@@ -3,7 +3,9 @@
 ``verify_agreement`` must return exactly what ``ck_closure`` returns at
 each attained posterior pair, field for field and float for float (the
 reprs are compared too, so types and bits match), and
-``singular_disagreement_check`` must match its two oracle closures.
+``singular_disagreement_check`` must match its two oracle closures. The
+result's columns must agree with those reports, and the readers of the
+columns (``violations``, ``fuzz_search``) must build no report.
 """
 
 import numpy as np
@@ -12,15 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agreelab import (
+    CKReport,
     Event,
+    JointDistribution,
     OutcomeSpace,
+    SweepResult,
     attained_posteriors,
     ck_closure,
     embed_classical,
+    fuzz_search,
     singular_disagreement_check,
     validate_joint,
     verify_agreement,
+    violations,
 )
+from agreelab.agreement import _Engine
 from agreelab.randomgen import random_classical_model, trial_rng
 from agreelab.search import BACKENDS, _trial_joint
 
@@ -42,8 +50,13 @@ def oracle_singular(p, event, tol):
 def assert_matches_oracle(p, event, tol):
     got = verify_agreement(p, event, tol)
     want = oracle_sweep(p, event, tol)
-    assert got == want
-    assert repr(got) == repr(want)
+    assert tuple(got) == want
+    assert repr(tuple(got)) == repr(want)
+    # the columns agree with the reports without building any
+    assert got.q_a.tolist() == [r.q_a for r in want]
+    assert got.q_b.tolist() == [r.q_b for r in want]
+    assert got.steps.tolist() == [r.steps for r in want]
+    assert got.ck_holds.tolist() == [r.ck_holds for r in want]
     assert singular_disagreement_check(p, event, tol) == oracle_singular(p, event, tol)
     return got
 
@@ -159,3 +172,55 @@ def test_near_zero_entries_match_oracle(seed, tol):
     members = frozenset(int(k) for k in np.flatnonzero(rng.random(size_k) < 0.5))
     p = validate_joint(table / table.sum(), space, tol)
     assert_matches_oracle(p, Event(space, members), tol)
+
+
+def test_result_is_a_sequence_of_reports():
+    p, event = _trial_joint("table", trial_rng(2024, 3), 4)
+    got = verify_agreement(p, event, 1e-9)
+    want = oracle_sweep(p, event, 1e-9)
+    assert isinstance(got, SweepResult) and len(got) == len(want) > 1
+    assert got[-1] == want[-1] and repr(got[-1]) == repr(want[-1])
+    assert got[-len(want)] == want[0] and got[len(want) - 1] == want[-1]
+    for index in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[index]
+    first, second = tuple(got), tuple(got)
+    assert first == second == want
+    assert all(isinstance(r, CKReport) for r in first)
+
+
+def test_violations_of_result_equal_violations_of_its_reports():
+    for backend in BACKENDS:
+        p, event = _trial_joint(backend, trial_rng(2024, 5), 4)
+        result = verify_agreement(p, event, 1e-9)
+        assert violations(result) == violations(tuple(result)) == ()
+    # a signed table, which validate_joint refuses, is the only way to a
+    # violation: row 0's posterior 0.75 counts the event half of a
+    # zero-mass (+1/4, -1/4) entry that column 0's posterior 0.5 never sees
+    space = OutcomeSpace(1, 2, 2)
+    signed = JointDistribution(space, np.array([[[0.5, 0.5], [0.25, -0.25]]]))
+    event = Event(space, frozenset({0}))
+    result = verify_agreement(signed, event, 1e-9)
+    (bad,) = violations(result)
+    assert (bad.q_a, bad.q_b, bad.ck_holds, bad.agrees) == (0.75, 0.5, True, False)
+    assert violations(result) == violations(tuple(result))
+    assert repr(violations(result)) == repr(violations(tuple(result)))
+
+
+def test_columnar_readers_build_no_report(monkeypatch):
+    calls = []
+    real = _Engine.report
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(_Engine, "report", counted)
+    for backend in BACKENDS:
+        assert fuzz_search(backend, trials=15, max_dim=3, seed=5).passed
+    p, event = _trial_joint("process", trial_rng(2024, 1), 4)
+    result = verify_agreement(p, event, 1e-9)
+    assert violations(result) == ()
+    assert calls == []
+    tuple(result)
+    assert len(calls) == len(result)

@@ -1,5 +1,7 @@
 """Joint table validation, marginalization, and conditioning."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,38 @@ class TestValidateJoint:
         table[0, 0, 0] = np.nan
         with pytest.raises(NotNormalized):
             validate_joint(table, OutcomeSpace(2, 2, 2))
+
+    def test_first_of_two_bad_entries_is_named(self):
+        table = np.full((2, 2, 2), 1 / 8)
+        table[0, 1, 1] = -0.25
+        table[1, 0, 0] = -0.5
+        with pytest.raises(NegativeMass, match=r"flat index 3 is -0\.25,"):
+            validate_joint(table, OutcomeSpace(2, 2, 2))
+
+    def test_entries_within_tol_below_zero_are_clamped(self):
+        tol = 1e-9
+        table = np.full((2, 2, 2), 1 / 8)
+        small = [-1e-15, -0.5 * tol, -0.999 * tol]
+        table.reshape(-1)[[1, 4, 6]] = small
+        table[0, 0, 0] += 1 - table.clip(min=0).sum()  # mass 1 once clamped
+        joint = validate_joint(table, OutcomeSpace(2, 2, 2), tol)
+        assert joint.table.reshape(-1)[[1, 4, 6]].tolist() == [0.0, 0.0, 0.0]
+        assert joint.table.min() >= 0.0
+        table.reshape(-1)[6] = -tol  # at -tol itself: refused
+        with pytest.raises(NegativeMass, match="flat index 6"):
+            validate_joint(table, OutcomeSpace(2, 2, 2), tol)
+
+    def test_exact_table_is_clamped_and_checked_exactly(self):
+        space = OutcomeSpace(1, 2, 2)
+        tiny = Fraction(-1, 10**12)
+        table = np.array([[[Fraction(1, 2), tiny], [Fraction(1, 2) - tiny, Fraction(0)]]], dtype=object)
+        joint = validate_joint(table, space)
+        assert joint.exact
+        assert joint.table[0, 0, 1] == 0 and type(joint.table[0, 0, 1]) is Fraction
+        assert joint.table.sum() == 1 + Fraction(1, 10**12)
+        table[0, 1, 1] = Fraction(-1, 3)
+        with pytest.raises(NegativeMass, match="flat index 3 is -1/3"):
+            validate_joint(table, space)
 
     def test_table_is_immutable(self):
         joint = validate_joint(np.full((1, 1, 1), 1.0), OutcomeSpace(1, 1, 1))

@@ -47,6 +47,17 @@ class TestDensityMatrix:
 
 
 class TestInstrument:
+    def test_non_finite_kraus_entry_refused(self):
+        ops = [np.eye(2, dtype=complex) / np.sqrt(3) for _ in range(3)]  # trace preserving
+        ops[2] = ops[2].copy()
+        ops[2][1, 0] = np.nan
+        for check in (True, False):
+            with pytest.raises(NotNormalized, match="kraus operator 0 of branch 2 has non-finite"):
+                Instrument(tuple((k,) for k in ops), check=check)
+        ops[2][1, 0] = np.inf
+        with pytest.raises(NotNormalized, match="non-finite"):
+            Instrument(tuple((k,) for k in ops))
+
     def test_projective_from_basis(self):
         instr = Instrument.projective(np.eye(2, dtype=complex))
         assert instr.n_branches == 2

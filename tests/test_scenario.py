@@ -1,6 +1,8 @@
 """Scenario parsing, run reports, record round trips, and the CLI contract."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,18 @@ class TestCLI:
         bad.write_text(json.dumps({"backend": "table", "sizes": [2, 2], "p": [], "event": []}))
         assert main(["joint", str(bad)]) == 3
 
+    def test_nan_kraus_entry_names_the_instrument(self, scenarios_dir, tmp_path, capsys):
+        text = (scenarios_dir / "process_definite.json").read_text()
+        payload = json.loads(text)
+        payload["instruments"]["B"][1][0][0][1][0] = float("nan")
+        bad = tmp_path / "nan_kraus.json"
+        bad.write_text(json.dumps(payload))
+        assert "NaN" in bad.read_text()
+        assert main(["verify", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "instruments.B: kraus operator 0 of branch 1 has non-finite entries" in err
+        assert "table" not in err
+
     def test_block_example_command(self, capsys):
         assert main(["block-example", "--theta", "0.785398", "--phi", "1.0472",
                      "--q", "0.2", "--r", "0.1"]) == 0
@@ -185,3 +199,35 @@ class TestCLI:
 
         monkeypatch.setattr(cli, "run_scenario", tampered)
         assert main(["verify", str(scenarios_dir / "table_uniform.json")]) == 4
+
+
+GOLDEN_RECORDS = Path(__file__).resolve().parent / "golden" / "fixture_records.jsonl"
+
+
+def assert_same_record(got, want, where="record"):
+    """Equal JSON values: floats to a relative 1e-12, since BLAS builds may
+    round the quantum and process tables differently; all else exactly."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12), (where, got, want)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), (where, got, want)
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert_same_record(g, w, f"{where}[{n}]")
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), (where, got, want)
+        for key in want:
+            assert_same_record(got[key], want[key], f"{where}.{key}")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def test_fixture_records_match_golden_file(scenarios_dir, capsys):
+    """``verify scenarios/*.json --format records`` reproduces the
+    committed records of every fixture."""
+    paths = sorted(str(path) for path in scenarios_dir.glob("*.json"))
+    assert main(["verify", *paths, "--format", "records"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = GOLDEN_RECORDS.read_text().splitlines()
+    assert len(got) == len(want)
+    for n, (g, w) in enumerate(zip(got, want)):
+        assert_same_record(json.loads(g), json.loads(w), f"line {n + 1}")

@@ -70,6 +70,40 @@ def test_process_fuzz_summary_is_pinned():
     )
 
 
+PINNED_SUMMARIES = {
+    # backend: (trials, closures, max_steps, closure_sizes), all at seed 42,
+    # recorded from the engine that built one report per closure
+    "table": (500, 2382, 2, (
+        ((0, 0), 2208), ((1, 1), 48), ((1, 2), 10), ((1, 3), 5), ((1, 4), 5),
+        ((2, 1), 9), ((2, 2), 9), ((2, 3), 12), ((2, 4), 11),
+        ((3, 1), 7), ((3, 2), 8), ((3, 3), 10), ((3, 4), 5),
+        ((4, 1), 6), ((4, 2), 10), ((4, 3), 7), ((4, 4), 12),
+    )),
+    "classical": (500, 1084, 4, (
+        ((0, 0), 714), ((1, 1), 89), ((1, 2), 33), ((1, 3), 20), ((1, 4), 12),
+        ((2, 1), 32), ((2, 2), 37), ((2, 3), 20), ((2, 4), 15),
+        ((3, 1), 16), ((3, 2), 18), ((3, 3), 12), ((3, 4), 13),
+        ((4, 1), 16), ((4, 2), 11), ((4, 3), 14), ((4, 4), 12),
+    )),
+    "quantum": (1000, 4636, 2, (
+        ((0, 0), 4270), ((1, 1), 60), ((1, 2), 29), ((1, 3), 13), ((1, 4), 15),
+        ((2, 1), 24), ((2, 2), 26), ((2, 3), 19), ((2, 4), 14),
+        ((3, 1), 21), ((3, 2), 18), ((3, 3), 19), ((3, 4), 30),
+        ((4, 1), 19), ((4, 2), 22), ((4, 3), 20), ((4, 4), 17),
+    )),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(PINNED_SUMMARIES))
+def test_fuzz_summary_is_pinned(backend):
+    trials, closures, max_steps, sizes = PINNED_SUMMARIES[backend]
+    summary = fuzz_search(backend, trials, seed=42)
+    assert summary.passed
+    assert summary.closures_examined == closures
+    assert summary.max_steps == max_steps
+    assert summary.closure_sizes == sizes
+
+
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
 def test_process_fuzz_peak_memory():
     # a dense two-order mixture at lab dimension 4 alone would hold 256 MiB
