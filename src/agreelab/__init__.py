@@ -3,7 +3,8 @@ verification across classical, quantum, and process-matrix backends.
 
 ``verify_agreement`` returns a :class:`SweepResult`: per-pair columns
 (``q_a``, ``q_b``, ``steps``, ``ck_holds``) that read as a sequence of
-:class:`CKReport`, each built when it is accessed."""
+:class:`CKReport`, each built when it is accessed. The same result carries
+each axis's ``posteriors`` and answers ``singular_ok`` from its engine."""
 
 from .agreement import (
     AnnouncementRound,

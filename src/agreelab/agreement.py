@@ -18,22 +18,26 @@ lies in A* x B* with positive mass, and in that case q_a must equal q_b;
 pair.
 
 ``ck_step`` and ``ck_closure`` follow that definition one posterior pair at
-a time and are the reference oracle. ``verify_agreement`` and
-``singular_disagreement_check`` run a one-pass engine that returns the same
-reports: it computes each axis's posteriors once per (table, event) and
-clusters them once into a posterior partition. One certainty pass per level
-set gives the first closure step of every (q_a, q_b) pair at once. Most
-pairs keep no outcome on either side at that step; they are filled in one
-batch (one step, two empty sets), and only the other pairs iterate from
-there on the shared pair marginal and certainty thresholds, with no
-per-pair recomputation.
+a time and are the reference oracle. Every other reader builds one engine
+per (table, event, tol) and returns the same answers: it computes each
+axis's posteriors once and clusters them once into a posterior partition.
+``is_common_knowledge`` and ``singular_disagreement_check`` close one or
+two pairs on it. ``verify_agreement`` sweeps every pair: one certainty pass
+per level set gives the first closure step of every (q_a, q_b) pair at
+once. Most pairs keep no outcome on either side at that step; they are
+filled in one batch (one step, two empty sets), and only the other pairs
+iterate from there on the shared pair marginal and certainty thresholds,
+with no per-pair recomputation.
 
 ``verify_agreement`` returns a columnar :class:`SweepResult`: per-pair
 arrays ``q_a``, ``q_b``, ``steps`` and ``ck_holds``, with the fixed-point
 sets kept only where they are nonempty. It is a sequence of
 :class:`CKReport` whose reports are built when they are read, through the
 same code for every access, so each equals ``ck_closure``'s. ``violations``
-and the fuzz read the arrays and build none.
+and the fuzz read the arrays and build none. The result also carries each
+axis's per-outcome ``posteriors`` and answers the singular check as
+``singular_ok`` from its own engine, so a scenario run or a fuzz trial
+builds one engine.
 
 One tolerance ``tol`` plays three roles, all with the same default:
 
@@ -107,7 +111,8 @@ def _zero(p: JointDistribution):
 class _PosteriorPartition:
     """One axis's posteriors for one (table, event), clustered once.
 
-    ``masses`` has an entry per outcome of the axis. ``clusters`` groups the
+    ``masses`` and ``posteriors`` have an entry per outcome of the axis, the
+    posteriors as ``axis_posteriors`` returns them. ``clusters`` groups the
     outcomes with mass above the sweep's ``tol`` by single linkage on their
     posteriors, in ascending order of posterior; ``representatives`` holds
     one value per cluster, its smallest member's for exact tables and the
@@ -115,6 +120,7 @@ class _PosteriorPartition:
     """
 
     masses: np.ndarray
+    posteriors: tuple
     clusters: tuple[tuple[int, ...], ...]
     representatives: tuple
     tol: float
@@ -171,7 +177,7 @@ def _posterior_partition(
             [float(sum(posteriors[x] for x in c)) / len(c) for c in clusters]
         )
     return _PosteriorPartition(
-        masses, tuple([tuple(sorted(c)) for c in clusters]), representatives, tol
+        masses, posteriors, tuple([tuple(sorted(c)) for c in clusters]), representatives, tol
     )
 
 
@@ -264,20 +270,22 @@ def is_common_knowledge(
 ) -> bool:
     """Whether the posteriors induced by observing (i, j) are common knowledge.
 
-    The closure runs at the representatives of the posterior clusters that
-    hold i and j, the values the sweep runs it at, so the answer agrees with
-    ``verify_agreement``. An outcome with mass at most tol is in no cluster
-    and its posterior is never common knowledge.
+    The closure runs on the sweep's engine, at the representatives of the
+    posterior clusters that hold i and j, the values the sweep runs it at,
+    so the answer agrees with ``verify_agreement`` and with ``ck_closure``.
+    An outcome with mass at most tol is in no cluster and its posterior is
+    never common knowledge.
     """
     # the raw posteriors only validate i and j: range and positive mass
     posterior_alice(p, i, event)
     posterior_bob(p, j, event)
-    q_a = _posterior_partition(p, event, "I", tol).representative(i)
-    q_b = _posterior_partition(p, event, "J", tol).representative(j)
+    engine = _Engine(p, event, tol)
+    q_a = engine.parts[0].representative(i)
+    q_b = engine.parts[1].representative(j)
     if q_a is None or q_b is None:
         return False
-    report = ck_closure(p, event, q_a, q_b, tol)
-    return i in report.a_star and j in report.b_star
+    a, b, _ = engine.fixed_point(q_a, q_b)
+    return i in a and j in b
 
 
 class _Engine:
@@ -314,6 +322,11 @@ class _Engine:
         """One closure step: the outcomes of a certain of b, and of b of a."""
         return a[self.certain(0, a, b)], b[self.certain(1, b, a)]
 
+    def fixed_point(self, q_a, q_b):
+        """The closure from the level sets of (q_a, q_b): (A*, B*, steps)."""
+        a, b = self.level_set(0, q_a), self.level_set(1, q_b)
+        return self.close(a, b, *self.step(a, b))
+
     def close(self, a: np.ndarray, b: np.ndarray, next_a: np.ndarray, next_b: np.ndarray):
         """Iterate from the level sets (a, b), whose first step is (next_a,
         next_b), to the fixed point, counting productive steps; each step
@@ -349,6 +362,12 @@ class _Engine:
             witness=(int(a[0]), int(b[0])) if ck_holds else None,
         )
 
+    def singular_ok(self) -> bool:
+        """True when no positive-mass pair has common knowledge of
+        posteriors 1 versus 0, in either orientation."""
+        fixed_points = (self.fixed_point(q_a, q_b) for q_a, q_b in ((1.0, 0.0), (0.0, 1.0)))
+        return not any(self.weigh(a, b)[2] for a, b, _ in fixed_points)
+
 
 _EMPTY = np.empty(0, dtype=np.intp)
 _EMPTY.setflags(write=False)
@@ -359,6 +378,9 @@ class SweepResult(Sequence[CKReport]):
     stored as columns in row-major (q_a, q_b) order.
 
     ``q_a``, ``q_b``, ``steps`` and ``ck_holds`` hold one entry per pair.
+    ``posteriors`` holds each axis's per-outcome posteriors, and
+    ``singular_ok`` is ``singular_disagreement_check``'s answer, computed
+    on first read from the same engine.
     ``fixed_points`` maps a pair's index to its fixed-point sets
     (A*, B*), as ascending index arrays, for the pairs where they are not
     both empty; every other pair's are. As a sequence the result yields one
@@ -379,6 +401,11 @@ class SweepResult(Sequence[CKReport]):
         self.steps = steps
         self.ck_holds = ck_holds
         self.fixed_points = fixed_points
+        self.posteriors = (engine.parts[0].posteriors, engine.parts[1].posteriors)
+
+    @cached_property
+    def singular_ok(self) -> bool:
+        return self._engine.singular_ok()
 
     # built on first read: the fuzz and violations never read them
     @cached_property
@@ -485,14 +512,9 @@ def singular_disagreement_check(
     """True when no positive-mass pair has common knowledge of posteriors
     1 versus 0 (in either orientation). Always true for a well-defined
     joint table: certainty of the event on one side forces zero mass on
-    every outcome the other side would need."""
-    engine = _Engine(p, event, tol)
-    for q_a, q_b in ((1.0, 0.0), (0.0, 1.0)):
-        a, b = engine.level_set(0, q_a), engine.level_set(1, q_b)
-        a, b, _ = engine.close(a, b, *engine.step(a, b))
-        if engine.weigh(a, b)[2]:
-            return False
-    return True
+    every outcome the other side would need. A sweep's result answers the
+    same from its own engine as ``SweepResult.singular_ok``."""
+    return _Engine(p, event, tol).singular_ok()
 
 
 @dataclass(frozen=True)

@@ -218,21 +218,12 @@ def _axis_posterior(p: JointDistribution, axis: str, index: int, event: Event):
         raise ZeroProbabilityConditioning(
             f"axis {axis} outcome {index} has mass {mass} <= tol"
         )
-    ks = event.sorted_members
-    if not ks:
-        return _zero_like(p.table)
-    pos = axis_position(axis)
-    sub = np.take(p.table, [index], axis=pos)
-    return np.take(sub, ks, axis=2).sum() / mass
+    return axis_posteriors(p, event, axis)[index]
 
 
 def axis_posteriors(p: JointDistribution, event: Event, axis: str) -> tuple:
     """Every outcome's posterior on one axis, in one pass over the table:
-    None where the outcome's mass is at most the table's tol.
-
-    Each outcome's row is summed in the order ``_axis_posterior`` sums it,
-    so the values equal ``posterior_alice``/``posterior_bob`` bit for bit.
-    """
+    None where the outcome's mass is at most the table's tol."""
     masses = p.axis_masses(axis)
     n = len(masses)
     hits = np.moveaxis(p.table[:, :, list(event.sorted_members)], axis_position(axis), 0)

@@ -254,21 +254,17 @@ def sequential_joint(scenario: QuantumScenario, tol: float = DEFAULT_TOL) -> Joi
     in the scenario's temporal order; the output axes are always (i, j, k).
     """
     s = scenario
-    table = np.zeros(s.space.sizes, dtype=float)
-    if s.order == "ABE":
-        for i, br_a in enumerate(s.instr_a.branches):
-            rho_i = apply_branch(br_a, s.state.matrix)
-            for j, br_b in enumerate(s.instr_b.branches):
-                rho_ij = apply_branch(br_b, rho_i)
-                for k, br_e in enumerate(s.instr_e.branches):
-                    table[i, j, k] = complex(np.trace(apply_branch(br_e, rho_ij))).real
-    else:  # AEB
-        for i, br_a in enumerate(s.instr_a.branches):
-            rho_i = apply_branch(br_a, s.state.matrix)
-            for k, br_e in enumerate(s.instr_e.branches):
-                rho_ik = apply_branch(br_e, rho_i)
-                for j, br_b in enumerate(s.instr_b.branches):
-                    table[i, j, k] = complex(np.trace(apply_branch(br_b, rho_ik))).real
+    chain = s.instrument_chain()
+    staged = np.zeros([instr.n_branches for instr in chain], dtype=float)
+    first, second, third = chain
+    for x, br_x in enumerate(first.branches):
+        rho_x = apply_branch(br_x, s.state.matrix)
+        for y, br_y in enumerate(second.branches):
+            rho_xy = apply_branch(br_y, rho_x)
+            for z, br_z in enumerate(third.branches):
+                staged[x, y, z] = complex(np.trace(apply_branch(br_z, rho_xy))).real
+    # staged axes follow the temporal order; the table's are (i, j, k)
+    table = staged.transpose([s.order.index(c) for c in "ABE"])
     return validate_joint(table, s.space, tol)
 
 

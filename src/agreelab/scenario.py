@@ -14,16 +14,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import numpy as np
 
-from .agreement import (
-    CKReport,
-    singular_disagreement_check,
-    verify_agreement,
-    violations,
-)
+from .agreement import CKReport, verify_agreement
 from .classical import ClassicalModel, embed_classical
 from .errors import AgreeLabError, ParseError, ValidationError
 from .joint import (
@@ -31,7 +26,6 @@ from .joint import (
     Event,
     JointDistribution,
     OutcomeSpace,
-    axis_posteriors,
     validate_joint,
 )
 from .process import (
@@ -226,6 +220,15 @@ def _parse_classical(payload, scenario_id, tol, seed) -> Scenario:
     )
 
 
+def _instruments(payload: dict) -> tuple[tuple[Instrument, Instrument, Instrument], OutcomeSpace]:
+    """The instruments of labs A, B and E, and the outcome space of their branches."""
+    raw = _require(payload, "instruments", "")
+    instruments = tuple(
+        _instrument(_require(raw, lab, "instruments"), f"instruments.{lab}") for lab in LABS
+    )
+    return instruments, OutcomeSpace(*(instr.n_branches for instr in instruments))
+
+
 def _parse_quantum(payload, scenario_id, tol, seed) -> Scenario:
     if "preset" in payload:
         preset = payload["preset"]
@@ -241,33 +244,17 @@ def _parse_quantum(payload, scenario_id, tol, seed) -> Scenario:
             state,
         )
         if "event" in payload:
-            qs = QuantumScenario(
-                qs.state, qs.instr_a, qs.instr_b, qs.instr_e, qs.order,
-                _event_from(payload, qs.space),
-            )
+            qs = replace(qs, event=_event_from(payload, qs.space))
         return Scenario(scenario_id, "quantum", qs.event, tol, seed, quantum=qs)
     state = _state(_require(payload, "state", ""), "state")
-    instrs = _require(payload, "instruments", "")
-    order = str(payload.get("order", "ABE"))
-    qs = QuantumScenario(
-        state,
-        _instrument(_require(instrs, "A", "instruments"), "instruments.A"),
-        _instrument(_require(instrs, "B", "instruments"), "instruments.B"),
-        _instrument(_require(instrs, "E", "instruments"), "instruments.E"),
-        order=order,
-        event=None,
-    )
-    event = _event_from(payload, qs.space)
-    qs = QuantumScenario(qs.state, qs.instr_a, qs.instr_b, qs.instr_e, order, event)
+    instruments, space = _instruments(payload)
+    event = _event_from(payload, space)
+    qs = QuantumScenario(state, *instruments, order=str(payload.get("order", "ABE")), event=event)
     return Scenario(scenario_id, "quantum", event, tol, seed, quantum=qs)
 
 
 def _parse_process(payload, scenario_id, tol, seed) -> Scenario:
-    instrs_raw = _require(payload, "instruments", "")
-    instruments = tuple(
-        _instrument(_require(instrs_raw, lab, "instruments"), f"instruments.{lab}")
-        for lab in LABS
-    )
+    instruments, space = _instruments(payload)
     if "w" in payload:
         lab_dims_raw = _require(payload, "lab_dims", "")
         lab_dims = []
@@ -295,9 +282,6 @@ def _parse_process(payload, scenario_id, tol, seed) -> Scenario:
             raise ValidationError(f"unknown construction kind {kind!r}", "construction.kind")
     else:
         raise ValidationError("process scenarios need 'w' or 'construction'", "process")
-    space = OutcomeSpace(
-        instruments[0].n_branches, instruments[1].n_branches, instruments[2].n_branches
-    )
     event = _event_from(payload, space)
     return Scenario(
         scenario_id, "process", event, tol, seed, process=w, instruments=instruments
@@ -331,11 +315,10 @@ def run_scenario(s: Scenario, include_joint: bool = False) -> RunReport:
     start = time.perf_counter()
     joint = s.compute_joint()
     event = Event(joint.space, s.event.members)
-    reports = tuple(verify_agreement(joint, event, s.tol))
-    singular_ok = singular_disagreement_check(joint, event, s.tol)
+    result = verify_agreement(joint, event, s.tol)
     q_a, q_b = (
-        tuple([None if q is None else float(q) for q in axis_posteriors(joint, event, axis)])
-        for axis in ("I", "J")
+        tuple([None if q is None else float(q) for q in posteriors])
+        for posteriors in result.posteriors
     )
     return RunReport(
         scenario_id=s.scenario_id,
@@ -344,9 +327,9 @@ def run_scenario(s: Scenario, include_joint: bool = False) -> RunReport:
         event=event.sorted_members,
         q_a=q_a,
         q_b=q_b,
-        reports=reports,
-        violation_count=len(violations(reports)),
-        singular_ok=singular_ok,
+        reports=tuple(result),
+        violation_count=len(result.violating()),
+        singular_ok=result.singular_ok,
         joint=tuple(float(x) for x in joint.flat()) if include_joint else None,
         duration=time.perf_counter() - start,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agreement import singular_disagreement_check, verify_agreement
+from .agreement import verify_agreement
 from .classical import embed_classical
 from .errors import ValidationError
 from .joint import DEFAULT_TOL, Event, JointDistribution, OutcomeSpace
@@ -133,7 +133,7 @@ def fuzz_search(
         result = verify_agreement(joint, event, tol)
         closures += len(result)
         violation_count += len(result.violating())
-        if not singular_disagreement_check(joint, event, tol):
+        if not result.singular_ok:
             singular_failures += 1
         steps = int(result.steps.max())
         max_steps = max(max_steps, steps)

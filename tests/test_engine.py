@@ -3,9 +3,11 @@
 ``verify_agreement`` must return exactly what ``ck_closure`` returns at
 each attained posterior pair, field for field and float for float (the
 reprs are compared too, so types and bits match), and
-``singular_disagreement_check`` must match its two oracle closures. The
-result's columns must agree with those reports, and the readers of the
-columns (``violations``, ``fuzz_search``) must build no report.
+``singular_disagreement_check`` and the result's ``singular_ok`` must match
+its two oracle closures, and ``is_common_knowledge`` the oracle's A* x B*.
+The result's columns must agree with those reports, the readers of the
+columns (``violations``, ``fuzz_search``) must build no report, and each
+production reader must build one posterior partition per axis.
 """
 
 import numpy as np
@@ -23,12 +25,18 @@ from agreelab import (
     ck_closure,
     embed_classical,
     fuzz_search,
+    initial_sets,
+    is_common_knowledge,
+    parse_scenario,
+    run_scenario,
     singular_disagreement_check,
     validate_joint,
     verify_agreement,
     violations,
 )
+from agreelab import agreement
 from agreelab.agreement import _Engine
+from agreelab.joint import axis_posteriors
 from agreelab.randomgen import random_classical_model, trial_rng
 from agreelab.search import BACKENDS, _trial_joint
 
@@ -57,8 +65,34 @@ def assert_matches_oracle(p, event, tol):
     assert got.q_b.tolist() == [r.q_b for r in want]
     assert got.steps.tolist() == [r.steps for r in want]
     assert got.ck_holds.tolist() == [r.ck_holds for r in want]
-    assert singular_disagreement_check(p, event, tol) == oracle_singular(p, event, tol)
+    assert got.posteriors == (axis_posteriors(p, event, "I"), axis_posteriors(p, event, "J"))
+    singular = oracle_singular(p, event, tol)
+    assert got.singular_ok == singular_disagreement_check(p, event, tol) == singular
+    assert_point_queries_match_oracle(p, event, tol)
     return got
+
+
+def oracle_point_queries(p, event, tol):
+    """``is_common_knowledge`` at every (i, j) of outcomes with mass above
+    the table's tol: membership of i and j in ck_closure's A* and B* at the
+    representatives of their posterior clusters, False for an outcome in no
+    cluster."""
+    held = {}
+    reps_b = attained_posteriors(p, event, "J", tol)
+    for qa in attained_posteriors(p, event, "I", tol):
+        for qb in reps_b:
+            a0, b0 = initial_sets(p, event, qa, qb, tol)
+            r = ck_closure(p, event, qa, qb, tol)
+            held.update({(i, j): i in r.a_star and j in r.b_star for i in a0 for j in b0})
+    rows, cols = (np.flatnonzero(p.axis_masses(axis) > p.tol).tolist() for axis in "IJ")
+    return {(i, j): held.get((i, j), False) for i in rows for j in cols}
+
+
+def assert_point_queries_match_oracle(p, event, tol):
+    want = oracle_point_queries(p, event, tol)
+    assert want
+    got = {(i, j): is_common_knowledge(p, event, i, j, tol) for i, j in want}
+    assert got == want
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -207,6 +241,18 @@ def test_violations_of_result_equal_violations_of_its_reports():
     assert repr(violations(result)) == repr(violations(tuple(result)))
 
 
+def test_singular_check_fails_on_a_signed_table():
+    # column 1 carries (+1, -1), zero mass and no posterior, so row 0 sees
+    # the event with certainty while column 0 never does: common knowledge
+    # of 1 versus 0, in the orientation the event picks
+    space = OutcomeSpace(1, 2, 2)
+    signed = JointDistribution(space, np.array([[[0.0, 1.0], [1.0, -1.0]]]))
+    for members, pair in (({0}, (1.0, 0.0)), ({1}, (0.0, 1.0))):
+        result = assert_matches_oracle(signed, Event(space, frozenset(members)), 1e-9)
+        assert result.singular_ok is False
+        assert [(r.q_a, r.q_b) for r in violations(result)] == [pair]
+
+
 def test_columnar_readers_build_no_report(monkeypatch):
     calls = []
     real = _Engine.report
@@ -224,3 +270,28 @@ def test_columnar_readers_build_no_report(monkeypatch):
     assert calls == []
     tuple(result)
     assert len(calls) == len(result)
+
+
+def test_one_posterior_partition_per_axis(monkeypatch, scenarios_dir):
+    calls = []
+    real = agreement._posterior_partition
+
+    def counted(p, event, axis, tol):
+        calls.append(axis)
+        return real(p, event, axis, tol)
+
+    monkeypatch.setattr(agreement, "_posterior_partition", counted)
+
+    def partitions(run):
+        calls.clear()
+        run()
+        return sorted(calls)
+
+    for path in sorted(scenarios_dir.glob("*.json")):
+        s = parse_scenario(path.read_text())
+        assert partitions(lambda: run_scenario(s)) == ["I", "J"], path.name
+    for backend in BACKENDS:
+        assert partitions(lambda: fuzz_search(backend, trials=1, seed=3)) == ["I", "J"], backend
+    p, event = _trial_joint("table", trial_rng(2024, 3), 4)
+    i, j = (int(np.argmax(p.axis_masses(axis))) for axis in "IJ")
+    assert partitions(lambda: is_common_knowledge(p, event, i, j)) == ["I", "J"]
