@@ -68,9 +68,8 @@ from .joint import (
     DEFAULT_TOL,
     Event,
     JointDistribution,
+    _check_conditioning,
     axis_posteriors,
-    posterior_alice,
-    posterior_bob,
 )
 
 
@@ -276,9 +275,8 @@ def is_common_knowledge(
     An outcome with mass at most tol is in no cluster and its posterior is
     never common knowledge.
     """
-    # the raw posteriors only validate i and j: range and positive mass
-    posterior_alice(p, i, event)
-    posterior_bob(p, j, event)
+    _check_conditioning(p, "I", i)
+    _check_conditioning(p, "J", j)
     engine = _Engine(p, event, tol)
     q_a = engine.parts[0].representative(i)
     q_b = engine.parts[1].representative(j)

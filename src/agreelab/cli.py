@@ -3,12 +3,19 @@
 Exit codes: 0 all good, 2 parse error, 3 validation error (including bad
 parameters), 4 agreement-theorem violation (never expected for valid
 inputs), 1 unexpected internal error.
+
+:func:`main` parses with one parser per process, built by
+:func:`build_parser` on the first call and reused after: building it costs
+about as much as a small-table verdict. Reuse is safe because each
+``parse_args`` call returns a new namespace, and the ``_cmd_*`` handlers
+look up the library functions they call at call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -218,9 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

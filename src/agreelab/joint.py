@@ -209,7 +209,9 @@ def marginal(p: JointDistribution, axes: Iterable[str]) -> np.ndarray:
     return p.table.sum(axis=drop) if drop else p.table.copy()
 
 
-def _axis_posterior(p: JointDistribution, axis: str, index: int, event: Event):
+def _check_conditioning(p: JointDistribution, axis: str, index: int) -> None:
+    """Refuse to condition on an outcome outside the axis or of mass at most
+    the table's tol."""
     size = p.space.axis_size(axis)
     if not 0 <= index < size:
         raise DimensionMismatch(f"axis {axis} index {index} outside range 0..{size - 1}")
@@ -218,6 +220,10 @@ def _axis_posterior(p: JointDistribution, axis: str, index: int, event: Event):
         raise ZeroProbabilityConditioning(
             f"axis {axis} outcome {index} has mass {mass} <= tol"
         )
+
+
+def _axis_posterior(p: JointDistribution, axis: str, index: int, event: Event):
+    _check_conditioning(p, axis, index)
     return axis_posteriors(p, event, axis)[index]
 
 

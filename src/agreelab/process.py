@@ -137,7 +137,7 @@ class ProcessMatrix:
         self._set(_normalize_lab_dims(lab_dims), (), None)
         m = _as_process_matrix(matrix, self.lab_dims)
         if validate:
-            failure = validate_process(m, self.lab_dims).failure
+            failure = _diagnose(m, self.lab_dims).failure
             if failure is not None:
                 raise ValidationError(f"process matrix {failure}")
         m = m.copy()
@@ -268,8 +268,12 @@ def _wiring_matrix(term: WiringTerm, by_lab) -> np.ndarray:
     w = factors[0]
     for f in factors[1:]:
         w = w * f
+    # a new array even when the product already spans every axis, so that
+    # ``matrix`` can sum terms into it
+    out = np.empty(full_shape, dtype=w.dtype)
+    out[...] = w
     d = math.prod(factor_dims)
-    return np.ascontiguousarray(np.broadcast_to(w, full_shape).reshape(d, d))
+    return out.reshape(d, d)
 
 
 def _stack_chois(instr: Instrument, lab: str, dims: tuple[int, int]) -> np.ndarray:
@@ -430,13 +434,6 @@ class ProcessDiagnostics:
         return self.failure is None
 
 
-def _discard(w: np.ndarray, pre: int, d: int, post: int) -> np.ndarray:
-    """Trace out the dimension-d factor sitting between dimensions pre and
-    post of the space W acts on, and put back the normalized identity."""
-    traced = np.einsum("akbAkB->abAB", w.reshape(pre, d, post, pre, d, post)) / d
-    return np.einsum("abAB,kK->akbAKB", traced, np.eye(d)).reshape(w.shape)
-
-
 def _validity_deviation(m: np.ndarray, lab_dims: LabDims) -> float:
     """max|W - L_V(W)| for the projector onto valid processes (Araujo et al.,
     "Witnessing causal nonseparability", NJP 17:102001 (2015)):
@@ -444,15 +441,34 @@ def _validity_deviation(m: np.ndarray, lab_dims: LabDims) -> float:
         L_V(W) = W - prod_X (1 - (X_out) + (X_in X_out)) W + (all) W,
 
     where (S) traces out the factors S and puts back the normalized identity.
+
+    The product is applied lab by lab, in place, to one working copy of W;
+    the caller's matrix is never written. View the copy as (pre, in, out,
+    post) on each matrix side. (X_out) W is the trace over out, divided by
+    d_out, on every block diagonal in out, and (X_in X_out) W the trace over
+    in and out, divided by d_in d_out, on every block diagonal in both; both
+    are zero elsewhere. So each lab subtracts the first and adds the second
+    on those blocks alone. Both traces are taken before the update, and each
+    is smaller than W by the square of the dimension it traces out.
     """
     total = m.shape[0]
-    t, pre = m, 1
+    t = m.copy()
+    pre = 1
     for d_in, d_out in lab_dims:
         post = total // (pre * d_in * d_out)
-        t = t - _discard(t, pre * d_in, d_out, post) + _discard(t, pre, d_in * d_out, post)
+        t8 = t.reshape(pre, d_in, d_out, post, pre, d_in, d_out, post)
+        # new arrays, never views of t: with d_out = 1 the one out-block is
+        # all of t, which the updates below change
+        tr_out = sum(t8[:, :, k, :, :, :, k, :] for k in range(d_out)) / d_out
+        tr_all = sum(tr_out[:, i, :, :, i, :] for i in range(d_in)) / d_in
+        for k in range(d_out):
+            t8[:, :, k, :, :, :, k, :] -= tr_out
+            for i in range(d_in):
+                t8[:, i, k, :, :, i, k, :] += tr_all
         pre *= d_in * d_out
     # W - L_V(W) = prod_X(...) W - (all) W
-    return float(np.abs(t - np.trace(m) / total * np.eye(total)).max())
+    t.reshape(-1)[:: total + 1] -= np.trace(m) / total
+    return float(np.abs(t).max())
 
 
 def validate_process(matrix: np.ndarray, lab_dims) -> ProcessDiagnostics:
@@ -466,7 +482,12 @@ def validate_process(matrix: np.ndarray, lab_dims) -> ProcessDiagnostics:
     non-finite entry raises :class:`ValidationError` instead.
     """
     dims = _normalize_lab_dims(lab_dims)
-    m = _as_process_matrix(matrix, dims)
+    return _diagnose(_as_process_matrix(matrix, dims), dims)
+
+
+def _diagnose(m: np.ndarray, dims: LabDims) -> ProcessDiagnostics:
+    """:func:`validate_process` on a matrix already checked by
+    :func:`_as_process_matrix` against normalized ``dims``."""
     out_product = math.prod(d_out for _, d_out in dims)
     return ProcessDiagnostics(
         mx.hermiticity_deviation(m),

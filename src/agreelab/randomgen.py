@@ -80,15 +80,26 @@ def random_kraus_instrument(
         ]
         for _ in range(n_branches)
     ]
+    kraus, cond = _renormalized(raw)
+    # the completeness error left is of order cond * eps, which a nearly
+    # singular draw lifts above COMPLETENESS_TOL; a second pass, on a sum
+    # already near the identity, takes it back to rounding
+    if cond > 1e4:
+        kraus, _ = _renormalized(kraus)
+    return Instrument(tuple(tuple(branch) for branch in kraus))
+
+
+def _renormalized(branches):
+    """Every Kraus operator times (sum K^dag K)^(-1/2), and the condition
+    number of that sum."""
+    dim_in = branches[0][0].shape[1]
     total = np.zeros((dim_in, dim_in), dtype=complex)
-    for branch in raw:
+    for branch in branches:
         for g in branch:
             total += g.conj().T @ g
     vals, vecs = np.linalg.eigh(total)
     inv_sqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
-    return Instrument(
-        tuple(tuple(g @ inv_sqrt for g in branch) for branch in raw)
-    )
+    return [[g @ inv_sqrt for g in branch] for branch in branches], vals[-1] / vals[0]
 
 
 def random_instrument(

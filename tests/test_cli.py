@@ -96,3 +96,56 @@ def test_search_passes_zero_tol_through(monkeypatch, capsys):
     # zero reaches the fuzzer, which refuses it for float tables; a negative
     # tolerance is refused before
     assert seen == [0.0, 1e-6]
+
+
+def test_main_builds_one_parser(monkeypatch, scenarios_dir, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    table = str(scenarios_dir / "table_uniform.json")
+    assert main(["verify", table]) == cli.EXIT_OK
+    assert main(["posteriors", table]) == cli.EXIT_OK
+    assert main(["ck", table, "--pair", "0", "0"]) == cli.EXIT_OK
+    assert main(["protocol", table, "--pair", "0", "0"]) == cli.EXIT_OK
+    assert main(["search", "--backend", "table", "--trials", "2"]) == cli.EXIT_OK
+    assert len(built) == 1
+
+
+def test_reused_parser_after_argparse_error(scenarios_dir, capsys):
+    valid = ["verify", str(scenarios_dir / "table_uniform.json"), "--format", "records"]
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as fresh_exit:
+        main(["verify"])
+    fresh_err = capsys.readouterr().err
+    cli._parser.cache_clear()
+    assert main(valid) == cli.EXIT_OK
+    fresh_out = capsys.readouterr().out
+
+    # the same parser now serves an error, then the valid call
+    with pytest.raises(SystemExit) as reused_exit:
+        main(["verify"])
+    assert fresh_exit.value.code == reused_exit.value.code == 2
+    assert capsys.readouterr().err == fresh_err
+    assert main(valid) == cli.EXIT_OK
+    assert capsys.readouterr().out == fresh_out
+
+
+def test_reused_parser_sees_patched_handlers(monkeypatch, capsys):
+    argv = ["search", "--backend", "table", "--trials", "2"]
+    assert main(argv) == cli.EXIT_OK  # the parser exists before the patch
+    calls = []
+    real = cli.fuzz_search
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fuzz_search", spy)
+    assert main(argv) == cli.EXIT_OK
+    assert calls == [("table", 2)]

@@ -300,6 +300,82 @@ class TestIndefiniteOrderFromFile:
             assert np.abs(process_joint(w, *s.instruments).table - joint).max() > 1e-3
 
 
+def _discard(w, pre, d, post):
+    """Trace out the dimension-d factor between dimensions pre and post of
+    the space W acts on, and put back the normalized identity."""
+    traced = np.einsum("akbAkB->abAB", w.reshape(pre, d, post, pre, d, post)) / d
+    return np.einsum("abAB,kK->akbAKB", traced, np.eye(d)).reshape(w.shape)
+
+
+def _reference_validity_deviation(m, lab_dims):
+    """max|W - L_V(W)|, each map of the product applied as a whole-W einsum."""
+    total = m.shape[0]
+    t, pre = m, 1
+    for d_in, d_out in lab_dims:
+        post = total // (pre * d_in * d_out)
+        t = t - _discard(t, pre * d_in, d_out, post) + _discard(t, pre, d_in * d_out, post)
+        pre *= d_in * d_out
+    return float(np.abs(t - np.trace(m) / total * np.eye(total)).max())
+
+
+def _random_hermitian(d, rng):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T
+
+
+class TestValidityDeviationMatchesReference:
+    """The in-place L_V check against the whole-W einsum formula, within 1e-12."""
+
+    @pytest.mark.parametrize(
+        "lab_dims",
+        [
+            ((1, 2), (2, 1), (3, 2)),
+            ((2, 2), (2, 2), (4, 1)),
+            ((2, 2), (2, 2), (2, 2)),
+            ((3, 2), (2, 3), (3, 2)),
+            ((1, 1), (2, 3), (1, 1)),
+        ],
+    )
+    def test_random_hermitian(self, lab_dims):
+        d = int(np.prod(lab_dims))
+        for trial in range(5):
+            m = _random_hermitian(d, trial_rng(37, trial))
+            kept = m.copy()
+            got = validate_process(m, lab_dims).validity_deviation
+            assert got == pytest.approx(_reference_validity_deviation(kept, lab_dims), abs=1e-12)
+            assert got > 1e-3
+            assert np.array_equal(m, kept)
+
+    @pytest.mark.parametrize("order", ["ABE", "BEA", "EAB"])
+    def test_definite_orders_and_mixtures(self, order):
+        rng = trial_rng(39)
+        for chain in ((2, 2, 2, 2), (1, 2, 1, 2), (3, 1, 2, 1)):
+            dims, _ = _chain_instruments(order, chain, rng)
+            orders = [tuple(order)] * 2
+            if chain == (2, 2, 2, 2):
+                orders.append(tuple(reversed(order)))
+            ws = [embed_definite_order(random_density(chain[0], rng), o, dims) for o in orders]
+            for w in (ws[0], mix_processes(ws, rng.dirichlet(np.ones(len(ws))))):
+                m = w.matrix
+                got = validate_process(m, w.lab_dims).validity_deviation
+                assert got == pytest.approx(_reference_validity_deviation(m, w.lab_dims), abs=1e-12)
+                assert got < 1e-12
+
+    def test_switch(self, scenarios_dir):
+        s = parse_scenario((scenarios_dir / "process_switch.json").read_text())
+        m, dims = s.process.matrix, s.process.lab_dims
+        assert not m.flags.writeable  # so the check cannot write to its input
+        got = validate_process(m, dims).validity_deviation
+        assert got == pytest.approx(_reference_validity_deviation(m, dims), abs=1e-12)
+
+    def test_causal_loop(self):
+        w, dims = _causal_loop()
+        kept = w.copy()
+        assert validate_process(w, dims).validity_deviation == pytest.approx(0.5, abs=1e-12)
+        assert _reference_validity_deviation(w, dims) == pytest.approx(0.5, abs=1e-12)
+        assert np.array_equal(w, kept)
+
+
 def _dense_table(w, instrs):
     """The joint table of ``w`` through the dense path: its materialized
     matrix, held as an explicit W and contracted in one einsum."""
@@ -353,6 +429,15 @@ class TestFactoredMatchesDense:
         mixed = mix_processes([w, dense], [0.5, 0.5])
         assert not mixed.terms
         assert mixed.matrix == pytest.approx(w.matrix)
+
+    def test_mixture_matrix_with_unit_wires(self):
+        # every non-unit axis is spanned by the term's factors, so each term's
+        # dense W comes out of the product whole and must still be summable
+        state = DensityMatrix.maximally_mixed(1)
+        dims = {"A": (1, 2), "B": (2, 1), "E": (1, 2)}
+        w = embed_definite_order(state, "ABE", dims)
+        mixed = mix_processes([w, w], [0.5, 0.5])
+        assert np.abs(mixed.matrix - w.matrix).max() < 1e-15
 
     def test_factored_trace_is_checked(self):
         w = embed_definite_order(DensityMatrix.maximally_mixed(2))

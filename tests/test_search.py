@@ -22,6 +22,15 @@ def test_small_sweeps_find_nothing(backend):
     assert summary.passed
 
 
+def test_nearly_singular_kraus_draw_stays_trace_preserving():
+    # trial 3 of this seed draws a 4 -> 2 one-branch instrument whose
+    # sum G^dag G has condition number 1.6e7; one normalization pass left
+    # ||sum K^dag K - 1|| = 2.2e-9, above COMPLETENESS_TOL, and the fuzz
+    # refused its own draw
+    summary = fuzz_search("quantum", trials=4, max_dim=4, seed=6950883801045473076)
+    assert summary.passed
+
+
 def test_identical_seeds_are_byte_identical():
     a = fuzz_search("quantum", trials=15, max_dim=3, seed=21)
     b = fuzz_search("quantum", trials=15, max_dim=3, seed=21)
