@@ -22,7 +22,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from agreelab.process import process_joint, validate_process
+from agreelab.process import validate_process
 from agreelab.quantum import Instrument
 from agreelab.scenario import complex_matrix_to_json, parse_scenario
 
@@ -157,8 +157,7 @@ def main() -> None:
         scenario = parse_scenario(text)  # every committed fixture must parse
         print(f"wrote scenarios/{name} (backend {scenario.backend})")
 
-    s = parse_scenario((OUT / "process_switch.json").read_text())
-    joint = process_joint(s.process, *s.instruments)
+    joint = parse_scenario((OUT / "process_switch.json").read_text()).compute_joint()
     print("switch joint sums to", float(joint.table.sum()))
 
 

@@ -54,6 +54,7 @@ One tolerance ``tol`` plays three roles, all with the same default:
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,15 +126,19 @@ class _PosteriorPartition:
     tol: float
 
     def level_set(self, q) -> tuple[int, ...]:
-        """Outcomes, ascending, whose cluster representative lies within tol of q."""
-        return tuple(
-            sorted(
-                x
-                for rep, cluster in zip(self.representatives, self.clusters)
-                if abs(rep - q) <= self.tol
-                for x in cluster
-            )
-        )
+        """Outcomes, ascending, whose cluster representative lies within tol of q.
+
+        fl(rep - q) never decreases along the ascending representatives, so
+        those clusters are one run, found by bisection; a NaN q matches none.
+        """
+        if q != q:
+            return ()
+        reps = self.representatives
+        lo = bisect_left(reps, -self.tol, key=lambda rep: rep - q)
+        hi = bisect_right(reps, self.tol, lo, key=lambda rep: rep - q)
+        if hi - lo == 1:
+            return self.clusters[lo]
+        return tuple(sorted(x for cluster in self.clusters[lo:hi] for x in cluster))
 
     def representative(self, x: int):
         """Representative of the cluster holding outcome x; None when x has

@@ -98,6 +98,12 @@ class ClassicalModel:
         return all(isinstance(x, (Fraction, int)) for x in self.prior)
 
     @property
+    def event(self) -> Event:
+        """The event as a set of K outcomes of the model's joint table."""
+        space = OutcomeSpace(self.n_cells_a, self.n_cells_b, self.n_cells_e)
+        return Event(space, self.event_cells)
+
+    @property
     def event_states(self) -> frozenset[int]:
         """States belonging to the event (union of the selected event cells)."""
         return frozenset(
@@ -183,15 +189,17 @@ def classical_ck_at(
     return omega in a_set and omega in b_set
 
 
-def embed_classical(model: ClassicalModel) -> tuple[JointDistribution, Event]:
+def embed_classical(
+    model: ClassicalModel, tol: float = DEFAULT_TOL
+) -> tuple[JointDistribution, Event]:
     """Joint outcome table of a model: p(i, j, k) sums the prior over the
-    intersection of Alice's cell i, Bob's cell j, and event cell k."""
-    space = OutcomeSpace(model.n_cells_a, model.n_cells_b, model.n_cells_e)
+    intersection of Alice's cell i, Bob's cell j, and event cell k. The
+    table is validated at ``tol``, which it then carries."""
+    event = model.event
     if model.exact:
-        table = np.full(space.sizes, Fraction(0), dtype=object)
+        table = np.full(event.space.sizes, Fraction(0), dtype=object)
     else:
-        table = np.zeros(space.sizes, dtype=float)
+        table = np.zeros(event.space.sizes, dtype=float)
     for w in range(model.num_states):
         table[model.part_a[w], model.part_b[w], model.part_e[w]] += model.prior[w]
-    joint = validate_joint(table, space)
-    return joint, Event(space, model.event_cells)
+    return validate_joint(table, event.space, tol), event

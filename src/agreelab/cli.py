@@ -24,25 +24,17 @@ import numpy as np
 
 from .agreement import ck_closure, dynamic_protocol, is_common_knowledge
 from .errors import AgreeLabError, ParseError, ValidationError
-from .joint import DEFAULT_TOL, Event
+from .joint import DEFAULT_TOL, Event, axis_posteriors
 from .quantum import block_rotation_scenario, closed_form_posteriors, sequential_joint
 from .report import emit_report, emit_search_summary
-from .scenario import parse_scenario, run_scenario
-from .search import BACKENDS, fuzz_search
+from .scenario import BACKENDS, parse_scenario, run_scenario
+from .search import fuzz_search
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_VIOLATION = 4
-
-
-def _load(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from None
-    return parse_scenario(text)
 
 
 def _tol(override: float | None, default: float) -> float:
@@ -58,7 +50,11 @@ def _tol(override: float | None, default: float) -> float:
 def _load_with_tol(path: str, override: float | None):
     """Load a scenario and set its tolerance. Every backend yields a float
     table, so zero is refused along with the values ``_tol`` refuses."""
-    s = _load(path)
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
+    s = parse_scenario(text)
     tol = _tol(override, s.tol)
     if tol == 0:
         raise ValidationError("must be positive: scenario tables are floats", "tol")
@@ -69,16 +65,9 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _cmd_joint(args) -> int:
+def _cmd_report(args) -> int:
     s = _load_with_tol(args.scenario, args.tol)
-    report = run_scenario(s, include_joint=True)
-    print(emit_report(report, args.format), end="")
-    return EXIT_OK
-
-
-def _cmd_posteriors(args) -> int:
-    s = _load_with_tol(args.scenario, args.tol)
-    report = run_scenario(s)
+    report = run_scenario(s, include_joint=args.include_joint)
     print(emit_report(report, args.format), end="")
     return EXIT_OK
 
@@ -145,10 +134,7 @@ def _cmd_block_example(args) -> int:
     scenario = block_rotation_scenario(args.theta, args.phi, args.q, args.r)
     joint = sequential_joint(scenario)
     qa_ref, qb_ref = closed_form_posteriors(args.theta, args.phi, args.q, args.r)
-    from .joint import posterior_alice, posterior_bob
-
-    qa = [posterior_alice(joint, i, scenario.event) for i in range(4)]
-    qb = [posterior_bob(joint, j, scenario.event) for j in range(4)]
+    qa, qb = (axis_posteriors(joint, scenario.event, axis) for axis in "IJ")
     print(f"{'outcome':>7} {'q_A pipeline':>16} {'q_A closed':>16} {'q_B pipeline':>16} {'q_B closed':>16}")
     for x in range(4):
         print(
@@ -179,11 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("joint", help="compute and print the joint table")
     add_common(p)
-    p.set_defaults(func=_cmd_joint)
+    p.set_defaults(func=_cmd_report, include_joint=True)
 
     p = sub.add_parser("posteriors", help="print posterior tables q_A, q_B")
     add_common(p)
-    p.set_defaults(func=_cmd_posteriors)
+    p.set_defaults(func=_cmd_report, include_joint=False)
 
     p = sub.add_parser("ck", help="run one closure, by posterior pair or outcome pair")
     add_common(p)
@@ -194,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full agreement verification of scenario files")
     p.add_argument("scenarios", nargs="+", help="scenario JSON files")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", choices=("table", "records"), default="table")
+    add_common(p, scenario=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("protocol", help="run the disclose-and-update protocol for a pair")
@@ -208,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-dim", type=int, default=4, dest="max_dim")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--format", choices=("table", "records"), default="table")
+    add_common(p, scenario=False)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser(

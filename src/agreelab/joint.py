@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -76,13 +76,6 @@ class OutcomeSpace:
     def axis_size(self, axis: str) -> int:
         return self.sizes[axis_position(axis)]
 
-    def triples(self) -> Iterator[tuple[int, int, int]]:
-        """All (i, j, k) triples in row-major order."""
-        for i in range(self.size_i):
-            for j in range(self.size_j):
-                for k in range(self.size_k):
-                    yield (i, j, k)
-
 
 @dataclass(frozen=True)
 class Event:
@@ -103,9 +96,6 @@ class Event:
     @property
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
-
-    def complement(self) -> "Event":
-        return Event(self.space, frozenset(range(self.space.size_k)) - self.members)
 
 
 def _is_exact_table(table: np.ndarray) -> bool:
@@ -138,9 +128,6 @@ class JointDistribution:
     def exact(self) -> bool:
         """True when entries are exact rationals rather than floats."""
         return _is_exact_table(self.table)
-
-    def p(self, i: int, j: int, k: int):
-        return self.table[i, j, k]
 
     def axis_masses(self, axis: str) -> np.ndarray:
         """Marginal probability vector of a single axis."""

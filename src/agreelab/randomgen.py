@@ -1,4 +1,4 @@
-"""Seed-reproducible random states, instruments, models, and tables.
+"""Seed-reproducible random states, instruments, models, tables, and processes.
 
 Every generator takes an explicit ``numpy.random.Generator``; use
 :func:`trial_rng` to derive one deterministically from (seed, trial index)
@@ -13,6 +13,7 @@ import numpy as np
 
 from .classical import ClassicalModel
 from .joint import Event, JointDistribution, OutcomeSpace, validate_joint
+from .process import LABS, ProcessMatrix, embed_definite_order, mix_processes
 from .quantum import DensityMatrix, Instrument, QuantumScenario
 
 
@@ -205,3 +206,42 @@ def random_quantum_scenario(
     space = OutcomeSpace(instr_a.n_branches, instr_b.n_branches, instr_e.n_branches)
     event = random_event(instr_e.n_branches, rng, space)
     return QuantumScenario(state, instr_a, instr_b, instr_e, order=order, event=event)
+
+
+def random_process_setup(
+    rng: np.random.Generator, max_dim: int = 4, max_branches: int = 4
+) -> tuple[ProcessMatrix, tuple[Instrument, Instrument, Instrument], Event, str]:
+    """Random definite-order embedding or convex mixture of causal orders.
+
+    Lab dimensions stay at or below ``max_dim``; most trials use wires of
+    dimension at most 3, with a reproducible minority exercising the full
+    bound. The processes are factored, so no trial builds its dense W, and
+    the draws keep their order so every trial replays from its generator.
+    """
+    cap = max_dim if rng.random() < 0.12 else min(3, max_dim)
+    if rng.random() < 0.6:
+        # single definite order over a random (possibly uneven) wire chain
+        chain = [int(d) for d in rng.integers(2, cap + 1, size=4)]
+        order = tuple(str(x) for x in rng.permutation(list(LABS)))
+        stage_dims = {order[t]: (chain[t], chain[t + 1]) for t in range(3)}
+        lab_dims = tuple(stage_dims[lab] for lab in LABS)
+        state = random_density(chain[0], rng)
+        w = embed_definite_order(state, order, lab_dims)
+        kind = "definite:" + "".join(order)
+    else:
+        d = int(rng.choice([2, 2, 3, 3, cap]))
+        state = random_density(d, rng)
+        orders = [tuple(str(x) for x in rng.permutation(list(LABS))) for _ in range(2)]
+        while orders[1] == orders[0]:
+            orders[1] = tuple(str(x) for x in rng.permutation(list(LABS)))
+        lam = float(rng.uniform(0.1, 0.9))
+        components = [embed_definite_order(state, o) for o in orders]
+        w = mix_processes(components, [lam, 1.0 - lam])
+        lab_dims = w.lab_dims
+        kind = "mixture:" + "+".join("".join(o) for o in orders)
+    instrs = tuple(
+        random_instrument(d_in, d_out, rng, max_branches) for d_in, d_out in lab_dims
+    )
+    space = OutcomeSpace(instrs[0].n_branches, instrs[1].n_branches, instrs[2].n_branches)
+    event = random_event(instrs[2].n_branches, rng, space)
+    return w, instrs, event, kind

@@ -16,6 +16,8 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
+
 import numpy as np
 
 from .agreement import CKReport, verify_agreement
@@ -43,8 +45,12 @@ from .quantum import (
     block_rotation_scenario,
     sequential_joint,
 )
-
-BACKENDS = ("table", "classical", "quantum", "process")
+from .randomgen import (
+    random_classical_model,
+    random_joint_table,
+    random_process_setup,
+    random_quantum_scenario,
+)
 
 
 def _require(payload: dict, key: str, where: str):
@@ -109,31 +115,38 @@ def _instrument(data, where: str) -> Instrument:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed, validated scenario ready to run."""
+    """A parsed, validated scenario ready to run.
+
+    ``source`` is what the backend's registry entry parsed: the raw table
+    and its outcome space, a ``ClassicalModel``, a ``QuantumScenario``, or
+    a process matrix with its three instruments.
+    """
 
     scenario_id: str
     backend: str
     event: Event
     tol: float
     seed: int
-    joint: JointDistribution | None = None
-    model: ClassicalModel | None = None
-    quantum: QuantumScenario | None = None
-    process: ProcessMatrix | None = None
-    instruments: tuple[Instrument, Instrument, Instrument] | None = None
+    source: object
 
     def compute_joint(self) -> JointDistribution:
-        if self.backend == "table":
-            return self.joint
-        if self.backend == "classical":
-            return embed_classical(self.model)[0].to_float()
-        if self.backend == "quantum":
-            return sequential_joint(self.quantum, self.tol)
-        return process_joint(self.process, *self.instruments, tol=self.tol)
+        """The joint table, built at the scenario's tolerance."""
+        return BACKENDS[self.backend].joint(self.source, self.tol)
+
+
+def _scalar(payload: dict, key: str, convert, default):
+    try:
+        return convert(payload.get(key, default))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(str(e), key) from None
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario JSON, locating errors by line or field."""
+    """Parse and validate scenario JSON, locating errors by line or field.
+
+    No table is built here: ``Scenario.compute_joint`` builds it, at the
+    tolerance the verdict runs at.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -141,25 +154,24 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(payload, dict):
         raise ParseError("scenario must be a JSON object")
     backend = _require(payload, "backend", "")
-    if backend not in BACKENDS:
-        raise ValidationError(f"unknown backend {backend!r}, expected one of {BACKENDS}", "backend")
-    scenario_id = str(payload.get("id", "scenario"))
-    tol = float(payload.get("tolerance", DEFAULT_TOL))
+    if not (isinstance(backend, str) and backend in BACKENDS):
+        raise ValidationError(
+            f"unknown backend {backend!r}, expected one of {tuple(BACKENDS)}", "backend"
+        )
+    tol = _scalar(payload, "tolerance", float, DEFAULT_TOL)
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"must be finite and positive, got {tol}", "tolerance")
-    seed = int(payload.get("seed", 0))
+    seed = _scalar(payload, "seed", int, 0)
     try:
-        builder = {
-            "table": _parse_table,
-            "classical": _parse_classical,
-            "quantum": _parse_quantum,
-            "process": _parse_process,
-        }[backend]
-        return builder(payload, scenario_id, tol, seed)
+        source, event = BACKENDS[backend].parse(payload)
     except (ValidationError, ParseError):
         raise
     except AgreeLabError as e:
         raise ValidationError(str(e), backend) from e
+    except (TypeError, ValueError, OverflowError) as e:
+        # a malformed scalar, such as a string where a number belongs
+        raise ValidationError(str(e), backend) from None
+    return Scenario(str(payload.get("id", "scenario")), backend, event, tol, seed, source)
 
 
 def _event_from(payload: dict, space: OutcomeSpace) -> Event:
@@ -172,7 +184,7 @@ def _event_from(payload: dict, space: OutcomeSpace) -> Event:
         raise ValidationError(str(e), "event") from e
 
 
-def _parse_table(payload, scenario_id, tol, seed) -> Scenario:
+def _parse_table(payload: dict) -> tuple[tuple[np.ndarray, OutcomeSpace], Event]:
     sizes = _require(payload, "sizes", "")
     if not (isinstance(sizes, list) and len(sizes) == 3):
         raise ValidationError("sizes must be the three axis sizes [|I|, |J|, |K|]", "sizes")
@@ -191,15 +203,12 @@ def _parse_table(payload, scenario_id, tol, seed) -> Scenario:
     flat = _require(payload, "p", "")
     expected = space.size_i * space.size_j * space.size_k
     if not isinstance(flat, list) or len(flat) != expected:
-        raise ValidationError(
-            f"p must be a flat row-major list of {expected} reals", "p"
-        )
+        raise ValidationError(f"p must be a flat row-major list of {expected} reals", "p")
     table = np.asarray(flat, dtype=float).reshape(space.sizes)
-    joint = validate_joint(table, space, tol)
-    return Scenario(scenario_id, "table", _event_from(payload, space), tol, seed, joint=joint)
+    return (table, space), _event_from(payload, space)
 
 
-def _parse_classical(payload, scenario_id, tol, seed) -> Scenario:
+def _parse_classical(payload: dict) -> tuple[ClassicalModel, Event]:
     n = int(_require(payload, "num_states", ""))
     raw_prior = _require(payload, "prior", "")
     if not isinstance(raw_prior, list) or len(raw_prior) != n:
@@ -214,10 +223,7 @@ def _parse_classical(payload, scenario_id, tol, seed) -> Scenario:
         part_e=tuple(_require(payload, "partition_e", "")),
         event_cells=frozenset(int(c) for c in _require(payload, "event", "")),
     )
-    space = OutcomeSpace(model.n_cells_a, model.n_cells_b, model.n_cells_e)
-    return Scenario(
-        scenario_id, "classical", Event(space, model.event_cells), tol, seed, model=model
-    )
+    return model, model.event
 
 
 def _instruments(payload: dict) -> tuple[tuple[Instrument, Instrument, Instrument], OutcomeSpace]:
@@ -229,7 +235,7 @@ def _instruments(payload: dict) -> tuple[tuple[Instrument, Instrument, Instrumen
     return instruments, OutcomeSpace(*(instr.n_branches for instr in instruments))
 
 
-def _parse_quantum(payload, scenario_id, tol, seed) -> Scenario:
+def _parse_quantum(payload: dict) -> tuple[QuantumScenario, Event]:
     if "preset" in payload:
         preset = payload["preset"]
         name = _require(preset, "name", "preset")
@@ -245,15 +251,15 @@ def _parse_quantum(payload, scenario_id, tol, seed) -> Scenario:
         )
         if "event" in payload:
             qs = replace(qs, event=_event_from(payload, qs.space))
-        return Scenario(scenario_id, "quantum", qs.event, tol, seed, quantum=qs)
+        return qs, qs.event
     state = _state(_require(payload, "state", ""), "state")
     instruments, space = _instruments(payload)
     event = _event_from(payload, space)
     qs = QuantumScenario(state, *instruments, order=str(payload.get("order", "ABE")), event=event)
-    return Scenario(scenario_id, "quantum", event, tol, seed, quantum=qs)
+    return qs, event
 
 
-def _parse_process(payload, scenario_id, tol, seed) -> Scenario:
+def _parse_process(payload: dict) -> tuple[tuple[ProcessMatrix, tuple], Event]:
     instruments, space = _instruments(payload)
     if "w" in payload:
         lab_dims_raw = _require(payload, "lab_dims", "")
@@ -274,18 +280,58 @@ def _parse_process(payload, scenario_id, tol, seed) -> Scenario:
             w = embed_definite_order(state, order)
         elif kind == "mixture":
             comps = _require(cons, "components", "construction")
-            ws = [
-                embed_definite_order(state, tuple(c["order"])) for c in comps
-            ]
+            ws = [embed_definite_order(state, tuple(c["order"])) for c in comps]
             w = mix_processes(ws, [float(c["weight"]) for c in comps])
         else:
             raise ValidationError(f"unknown construction kind {kind!r}", "construction.kind")
     else:
         raise ValidationError("process scenarios need 'w' or 'construction'", "process")
-    event = _event_from(payload, space)
-    return Scenario(
-        scenario_id, "process", event, tol, seed, process=w, instruments=instruments
-    )
+    return (w, instruments), _event_from(payload, space)
+
+
+def _draw_table(rng: np.random.Generator, max_dim: int):
+    p, event = random_joint_table(rng, max_size=max_dim, structured_zeros=rng.random() < 0.3)
+    return (p.table, p.space), event
+
+
+def _draw_classical(rng: np.random.Generator, max_dim: int):
+    model = random_classical_model(rng, max_states=2 * max_dim, exact=False)
+    return model, model.event
+
+
+def _draw_quantum(rng: np.random.Generator, max_dim: int):
+    qs = random_quantum_scenario(rng, max_dim=max_dim)
+    return qs, qs.event
+
+
+def _draw_process(rng: np.random.Generator, max_dim: int):
+    w, instruments, event, _ = random_process_setup(rng, max_dim=max_dim)
+    return (w, instruments), event
+
+
+@dataclass(frozen=True)
+class Backend:
+    """One backend: how a scenario file's payload is read into a source and
+    its event, how the fuzz draws a random one, and how a source becomes its
+    joint table at the tolerance the verdict runs at."""
+
+    parse: Callable[[dict], tuple[object, Event]]
+    draw: Callable[[np.random.Generator, int], tuple[object, Event]]
+    joint: Callable[[object, float], JointDistribution]
+
+
+# Each joint builder looks its table function up in this module at call time,
+# so a wrapper installed on this module's binding sees every table built.
+BACKENDS: dict[str, Backend] = {
+    "table": Backend(_parse_table, _draw_table, lambda src, tol: validate_joint(*src, tol)),
+    "classical": Backend(
+        _parse_classical, _draw_classical, lambda m, tol: embed_classical(m, tol)[0].to_float()
+    ),
+    "quantum": Backend(_parse_quantum, _draw_quantum, lambda qs, tol: sequential_joint(qs, tol)),
+    "process": Backend(
+        _parse_process, _draw_process, lambda src, tol: process_joint(src[0], *src[1], tol=tol)
+    ),
+}
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 The fixture table has two Alice outcomes whose posteriors differ by 1e-7,
 so the default tolerance (1e-9) keeps them apart and --tol 1e-6 merges
-them; each subcommand's output shows which tolerance it ran at.
+them; each subcommand's output shows which tolerance it ran at. Every
+backend builds its table at the tolerance the verdict runs at, and a
+malformed scalar field in a scenario file is a validation error.
 """
 
 import json
@@ -149,3 +151,108 @@ def test_reused_parser_sees_patched_handlers(monkeypatch, capsys):
     monkeypatch.setattr(cli, "fuzz_search", spy)
     assert main(argv) == cli.EXIT_OK
     assert calls == [("table", 2)]
+
+
+def _write(tmp_path, name, payload) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _records(capsys, argv) -> list[dict]:
+    assert main(argv) == cli.EXIT_OK
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+# Outcome 1 of axis I has mass 5e-10: a posterior at tol 1e-12, none at 1e-9.
+FAINT_ROW_TABLE = {
+    "id": "faint",
+    "backend": "table",
+    "sizes": [2, 2, 2],
+    "p": [0.25, 0.25, 0.25, 0.2499999995, 0, 0, 2.5e-10, 2.5e-10],
+    "event": [0],
+}
+
+
+def test_tol_reaches_the_table(tmp_path, capsys):
+    flag = _write(tmp_path, "flag.json", FAINT_ROW_TABLE)
+    in_file = _write(tmp_path, "file.json", dict(FAINT_ROW_TABLE, tolerance=1e-12))
+    got = _records(capsys, ["verify", flag, "--tol", "1e-12", "--format", "records"])
+    want = _records(capsys, ["verify", in_file, "--format", "records"])
+    assert got == want
+    assert got[0]["q_a"][1] == 0.5
+
+
+def test_classical_table_is_built_at_the_file_tolerance(tmp_path, capsys):
+    # states (0, 0, 0), (0, 1, 1) and (1, 1, 0) of cells (a, b, e); Alice's
+    # cell 1 has mass 5e-10
+    model = {
+        "id": "faint",
+        "backend": "classical",
+        "num_states": 3,
+        "prior": [0.4999999995, 0.5, 5e-10],
+        "partition_a": [0, 0, 1],
+        "partition_b": [0, 1, 1],
+        "partition_e": [0, 1, 0],
+        "event": [0],
+        "tolerance": 1e-12,
+    }
+    table = {
+        "id": "faint",
+        "backend": "table",
+        "sizes": [2, 2, 2],
+        "p": [0.4999999995, 0, 0, 0.5, 0, 0, 5e-10, 0],
+        "event": [0],
+        "tolerance": 1e-12,
+    }
+    got = _records(capsys, ["verify", _write(tmp_path, "m.json", model), "--format", "records"])
+    want = _records(capsys, ["verify", _write(tmp_path, "t.json", table), "--format", "records"])
+    assert got[0].pop("backend") == "classical" and want[0].pop("backend") == "table"
+    assert got == want
+
+
+MINIMAL_TABLE = {"backend": "table", "sizes": [1, 1, 1], "p": [1.0], "event": [0]}
+MINIMAL_CLASSICAL = {
+    "backend": "classical",
+    "num_states": 2,
+    "prior": [0.5, 0.5],
+    "partition_a": [0, 1],
+    "partition_b": [0, 0],
+    "partition_e": [0, 1],
+    "event": [0],
+}
+BLOCK_PRESET = {
+    "backend": "quantum",
+    "preset": {"name": "block_rotation", "theta": 0.5, "phi": 0.7, "q": 0.2, "r": 0.3},
+    "event": [0],
+}
+MIXED_QUBIT = {
+    "backend": "quantum",
+    "state": {"maximally_mixed": 2},
+    "instruments": {
+        lab: [[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]] for lab in "ABE"
+    },
+    "event": [0],
+}
+
+
+@pytest.mark.parametrize(
+    "base, key, value",
+    [
+        (MINIMAL_TABLE, "tolerance", "abc"),
+        (MINIMAL_TABLE, "tolerance", None),
+        (MINIMAL_TABLE, "seed", "x"),
+        (MINIMAL_TABLE, "p", ["one"]),
+        (MINIMAL_CLASSICAL, "num_states", "two"),
+        (MINIMAL_TABLE, "event", ["zero"]),
+        (BLOCK_PRESET, "preset", dict(BLOCK_PRESET["preset"], theta="wide")),
+        (MIXED_QUBIT, "state", {"maximally_mixed": "x"}),
+    ],
+    ids=["tolerance", "null-tolerance", "seed", "p", "num_states", "event", "theta", "mixed"],
+)
+def test_malformed_scalar_is_a_validation_error(tmp_path, capsys, base, key, value):
+    # the well-formed file verifies, so the malformed field is what fails
+    assert main(["verify", _write(tmp_path, "ok.json", base)]) == cli.EXIT_OK
+    bad = _write(tmp_path, "bad.json", dict(base, **{key: value}))
+    assert main(["verify", bad]) == cli.EXIT_VALIDATION
+    assert "internal error" not in capsys.readouterr().err

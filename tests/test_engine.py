@@ -35,10 +35,17 @@ from agreelab import (
     violations,
 )
 from agreelab import agreement
-from agreelab.agreement import _Engine
+from agreelab.agreement import _Engine, _posterior_partition
 from agreelab.joint import axis_posteriors
 from agreelab.randomgen import random_classical_model, trial_rng
-from agreelab.search import BACKENDS, _trial_joint
+from agreelab.scenario import BACKENDS
+
+
+def _trial_joint(backend, rng, max_dim):
+    """One fuzz trial's table and event, drawn and built as ``fuzz_search``
+    does at its default tolerance."""
+    source, event = BACKENDS[backend].draw(rng, max_dim)
+    return BACKENDS[backend].joint(source, 1e-9), event
 
 
 def oracle_sweep(p, event, tol):
@@ -206,6 +213,57 @@ def test_near_zero_entries_match_oracle(seed, tol):
     members = frozenset(int(k) for k in np.flatnonzero(rng.random(size_k) < 0.5))
     p = validate_joint(table / table.sum(), space, tol)
     assert_matches_oracle(p, Event(space, members), tol)
+
+
+def scanned_level_set(part, q):
+    """The level set by a scan of every cluster, as it was computed before
+    bisection."""
+    return tuple(
+        sorted(
+            x
+            for rep, cluster in zip(part.representatives, part.clusters)
+            if abs(rep - q) <= part.tol
+            for x in cluster
+        )
+    )
+
+
+def probe_points(part):
+    """Each representative, each midpoint of two neighbours, the points at
+    exactly tol from each representative, and values within tol of nothing."""
+    reps = list(part.representatives)
+    mids = [(a + b) / 2 for a, b in zip(reps, reps[1:])]
+    edges = [r + s * part.tol for r in reps for s in (-1, 1)]
+    return reps + mids + edges + [-1.0, 2.0, float("inf"), float("-inf"), float("nan")]
+
+
+def test_level_set_spanning_two_clusters_matches_the_scan():
+    # Alice's posteriors 0.5 and 0.5 + 1.5e-9 stay two clusters at tol 1e-9,
+    # and q = 0.5 + 0.75e-9 lies within tol of both representatives
+    q_rows = [0.2, 0.5, 0.5 + 1.5e-9, 0.5 + 1.5e-9, 0.8]
+    table = np.array([[[q / 10, (1 - q) / 10], [q / 10, (1 - q) / 10]] for q in q_rows])
+    space = OutcomeSpace(5, 2, 2)
+    p = validate_joint(table / table.sum(), space)
+    part = _posterior_partition(p, Event(space, frozenset({0})), "I", 1e-9)
+    assert part.clusters == ((0,), (1,), (2, 3), (4,))
+    assert part.level_set(0.5 + 0.75e-9) == scanned_level_set(part, 0.5 + 0.75e-9) == (1, 2, 3)
+    for q in probe_points(part):
+        assert part.level_set(q) == scanned_level_set(part, q), q
+
+
+def test_level_sets_of_trial_tables_match_the_scan():
+    for backend in BACKENDS:
+        for t in range(10):
+            p, event = _trial_joint(backend, trial_rng(2024, t), 4)
+            for axis in "IJ":
+                part = _posterior_partition(p, event, axis, 1e-9)
+                for q in probe_points(part):
+                    assert part.level_set(q) == scanned_level_set(part, q), (backend, t, q)
+    for t in range(10):
+        p, event = embed_classical(random_classical_model(trial_rng(31, t), exact=True))
+        part = _posterior_partition(p, event, "I", 0)
+        for q in probe_points(part):
+            assert part.level_set(q) == scanned_level_set(part, q), (t, q)
 
 
 def test_result_is_a_sequence_of_reports():

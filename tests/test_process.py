@@ -278,10 +278,11 @@ class TestIndefiniteOrderFromFile:
     def test_switch_scenario_is_valid_and_agrees(self, scenarios_dir):
         s = parse_scenario((scenarios_dir / "process_switch.json").read_text())
         # full validation path: hermiticity, trace, positivity, then W = L_V(W)
-        diag = validate_process(s.process.matrix, s.process.lab_dims)
+        w, instruments = s.source
+        diag = validate_process(w.matrix, w.lab_dims)
         assert diag.passes
         assert diag.validity_deviation < 1e-12
-        joint = process_joint(s.process, *s.instruments)
+        joint = process_joint(w, *instruments)
         assert joint.table.sum() == pytest.approx(1.0, abs=1e-9)
         reports = verify_agreement(joint, s.event)
         assert not violations(reports)
@@ -290,14 +291,15 @@ class TestIndefiniteOrderFromFile:
     def test_switch_differs_from_both_definite_orders(self, scenarios_dir):
         # the coherent control is not any single wiring of the two labs
         s = parse_scenario((scenarios_dir / "process_switch.json").read_text())
-        joint = process_joint(s.process, *s.instruments).table
+        switch, instruments = s.source
+        joint = process_joint(switch, *instruments).table
         for orders in (("A", "B", "E"), ("B", "A", "E")):
             state = DensityMatrix.pure(np.array([1, 0], dtype=complex))
             try:
-                w = embed_definite_order(state, orders, dict(zip("ABE", s.process.lab_dims)))
+                w = embed_definite_order(state, orders, dict(zip("ABE", switch.lab_dims)))
             except DimensionMismatch:
                 continue  # wire dims cannot even chain for this lab geometry
-            assert np.abs(process_joint(w, *s.instruments).table - joint).max() > 1e-3
+            assert np.abs(process_joint(w, *instruments).table - joint).max() > 1e-3
 
 
 def _discard(w, pre, d, post):
@@ -363,7 +365,7 @@ class TestValidityDeviationMatchesReference:
 
     def test_switch(self, scenarios_dir):
         s = parse_scenario((scenarios_dir / "process_switch.json").read_text())
-        m, dims = s.process.matrix, s.process.lab_dims
+        m, dims = s.source[0].matrix, s.source[0].lab_dims
         assert not m.flags.writeable  # so the check cannot write to its input
         got = validate_process(m, dims).validity_deviation
         assert got == pytest.approx(_reference_validity_deviation(m, dims), abs=1e-12)
@@ -474,7 +476,7 @@ class TestDenseBudget:
         assert '"violations": 0' in capsys.readouterr().out
         s = parse_scenario(path.read_text())
         with pytest.raises(ValidationError, match="budget"):
-            s.process.matrix
+            s.source[0].matrix
 
     def test_oversize_explicit_w_refused_before_parsing(self, tmp_path, capsys):
         payload = {

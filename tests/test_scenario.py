@@ -26,7 +26,7 @@ class TestParseScenario:
     def test_minimal_table(self):
         s = parse_scenario(json.dumps(MINIMAL_TABLE))
         assert s.backend == "table"
-        assert s.joint.table.sum() == pytest.approx(1.0)
+        assert s.compute_joint().table.sum() == pytest.approx(1.0)
 
     def test_malformed_json_locates_line(self):
         with pytest.raises(ParseError, match="line"):
@@ -70,7 +70,7 @@ class TestParseScenario:
     def test_table_labels(self):
         payload = dict(MINIMAL_TABLE, labels={"I": ["left", "right"], "K": ["hit", "miss"]})
         s = parse_scenario(json.dumps(payload))
-        assert s.joint.space.labels_i == ("left", "right")
+        assert s.compute_joint().space.labels_i == ("left", "right")
         bad = dict(MINIMAL_TABLE, labels={"I": ["left"]})
         with pytest.raises(ValidationError, match="labels"):
             parse_scenario(json.dumps(bad))

@@ -9,7 +9,8 @@ import pytest
 
 from agreelab import ValidationError
 from agreelab.report import emit_search_summary
-from agreelab.search import _trial_joint, fuzz_search
+from agreelab.scenario import BACKENDS
+from agreelab.search import fuzz_search
 from agreelab.randomgen import trial_rng
 
 
@@ -46,9 +47,11 @@ def test_different_seeds_differ():
 
 def test_trial_replays_from_seed_and_index():
     # a failing trial must be reconstructible from (seed, index) alone
-    joint_a, event_a = _trial_joint("process", trial_rng(99, 7), 3)
-    joint_b, event_b = _trial_joint("process", trial_rng(99, 7), 3)
-    assert joint_a.flat() == joint_b.flat()
+    process = BACKENDS["process"]
+    (source_a, event_a), (source_b, event_b) = (
+        process.draw(trial_rng(99, 7), 3) for _ in range(2)
+    )
+    assert process.joint(source_a, 1e-9).flat() == process.joint(source_b, 1e-9).flat()
     assert event_a.members == event_b.members
 
 
