@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep scaling: time and peak RSS of the closure sweep against table size.
 
-For n = 64, 128, 256, 512 (up to ``--max-n``) it builds one n x n x 3
+For n = 8, 16 and 40 (sizes in the benchmark's sweep_dense mix), 64, 128,
+256 and 512 (up to ``--max-n``) it builds one n x n x 3
 ``make_sweep_table`` table from the benchmark's workloads, then times the
 chain the benchmark's sweep_dense verdict runs: ``validate_joint``,
 ``verify_agreement`` and ``singular_disagreement_check``. Each size runs in
@@ -39,7 +40,7 @@ import numpy as np  # noqa: E402
 from agreelab import agreement, joint  # noqa: E402
 from workloads import SWEEP_K, make_sweep_table  # noqa: E402
 
-SIZES = (64, 128, 256, 512)
+SIZES = (8, 16, 40, 64, 128, 256, 512)
 
 
 def measure(n: int, seed: int, repeats: int) -> dict:

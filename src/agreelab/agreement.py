@@ -19,15 +19,25 @@ pair.
 
 ``ck_step`` and ``ck_closure`` follow that definition one posterior pair at
 a time and are the reference oracle. Every other reader builds one engine
-per (table, event, tol) and returns the same answers: it computes each
-axis's posteriors once and clusters them once into a posterior partition.
+per (table, event, tol) and returns the same answers, bit for bit: it
+computes each axis's posteriors once, reads them out as plain Python
+numbers and clusters them once into a posterior partition.
 ``is_common_knowledge`` and ``singular_disagreement_check`` close one or
-two pairs on it. ``verify_agreement`` sweeps every pair: one certainty pass
-per level set gives the first closure step of every (q_a, q_b) pair at
-once. Most pairs keep no outcome on either side at that step; they are
-filled in one batch (one step, two empty sets), and only the other pairs
-iterate from there on the shared pair marginal and certainty thresholds,
-with no per-pair recomputation.
+two pairs on it. ``verify_agreement`` sweeps every pair:
+
+* each representative's level set is its own cluster whenever no two
+  representatives lie within tol of each other, checked once per axis;
+* each axis's level sets are laid out as consecutive runs of one index
+  array, so one gather and one ``np.add.reduceat`` per axis give every
+  outcome's mass in every level set of the other axis, and with it the
+  first closure step of every (q_a, q_b) pair. That sum runs in another
+  order than ``ck_step``'s; the few entries within a rounding band of
+  their threshold, derived in ``_Engine.first_step``, are recomputed in
+  ``ck_step``'s order, so every comparison comes out as the oracle's;
+* most pairs keep no outcome on either side at that step; they are filled
+  in one batch (one step, two empty sets), and only the other pairs
+  iterate from there on the shared pair marginal and certainty
+  thresholds, with no per-pair recomputation.
 
 ``verify_agreement`` returns a columnar :class:`SweepResult`: per-pair
 arrays ``q_a``, ``q_b``, ``steps`` and ``ck_holds``, with the fixed-point
@@ -59,7 +69,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
@@ -69,8 +79,8 @@ from .joint import (
     DEFAULT_TOL,
     Event,
     JointDistribution,
+    _axis_event_masses,
     _check_conditioning,
-    axis_posteriors,
 )
 
 
@@ -140,6 +150,23 @@ class _PosteriorPartition:
             return self.clusters[lo]
         return tuple(sorted(x for cluster in self.clusters[lo:hi] for x in cluster))
 
+    def level_sets(self) -> tuple[tuple[int, ...], ...]:
+        """The level set of each representative, in order, without bisection.
+
+        When fl(rep_k - rep_k) = 0 (every representative is finite) and
+        each step fl(rep_{k+1} - rep_k) exceeds tol, only the diagonal of the
+        matrix fl(rep_i - rep_k), the key ``level_set`` bisects on, lies
+        within +-tol: that key never decreases along i, and rounding to
+        nearest is odd, so fl(rep_{k-1} - rep_k) < -tol. Each level set is
+        then its own cluster. Otherwise (two representatives within tol,
+        which only rounding of the cluster means allows, or a NaN) each is
+        looked up with ``level_set``.
+        """
+        reps, tol = self.representatives, self.tol
+        if all(q - q <= tol for q in reps) and all(hi - lo > tol for lo, hi in pairwise(reps)):
+            return self.clusters
+        return tuple([self.level_set(q) for q in reps])
+
     def representative(self, x: int):
         """Representative of the cluster holding outcome x; None when x has
         mass at most tol and so is in no cluster."""
@@ -158,28 +185,42 @@ def _posterior_partition(
     floating-point twins do not masquerade as different posteriors. An
     outcome with mass above tol but not above the table's own tol has no
     posterior and raises ZeroProbabilityConditioning.
+
+    The masses are read out as Python numbers once, so the clustering
+    compares and adds plain floats (or Fractions), not numpy scalars; each
+    posterior is the same IEEE quotient ``axis_posteriors`` computes.
     """
-    masses = p.axis_masses(axis)
-    posteriors = axis_posteriors(p, event, axis)
-    members = [x for x in range(len(masses)) if masses[x] > tol]
+    masses, hits = _axis_event_masses(p, event, axis)
+    mass_list = masses.tolist()
+    # built from lists: tuple(generator) resizes its result, which leaves
+    # blocks stranded in the tuple free lists until a full gc
+    posteriors = tuple(
+        [h / m if m > p.tol else None for h, m in zip(hits.tolist(), mass_list)]
+    )
+    members = [x for x, m in enumerate(mass_list) if m > tol]
     for x in members:
         if posteriors[x] is None:
             raise ZeroProbabilityConditioning(
                 f"axis {axis} outcome {x} has mass {masses[x]} <= tol"
             )
+    # single linkage along the sorted posteriors. Each cluster's sum starts
+    # from 0 (so -0.0 sums to 0.0) and adds one term at a time, on every
+    # Python: builtin sum() of plain floats is compensated from 3.12 on
     clusters: list[list[int]] = []
+    sums = []
     for x in sorted(members, key=posteriors.__getitem__):
-        if clusters and abs(posteriors[x] - posteriors[clusters[-1][-1]]) <= tol:
+        q = posteriors[x]
+        if clusters and abs(q - last) <= tol:
             clusters[-1].append(x)
+            sums[-1] += q
         else:
             clusters.append([x])
-    # tuples here are built from lists, as in axis_posteriors
+            sums.append(0 + q)
+        last = q
     if p.exact:
         representatives = tuple([posteriors[c[0]] for c in clusters])
     else:
-        representatives = tuple(
-            [float(sum(posteriors[x] for x in c)) / len(c) for c in clusters]
-        )
+        representatives = tuple([total / len(c) for total, c in zip(sums, clusters)])
     return _PosteriorPartition(
         masses, posteriors, tuple([tuple(sorted(c)) for c in clusters]), representatives, tol
     )
@@ -291,13 +332,24 @@ def is_common_knowledge(
     return i in a and j in b
 
 
+# unit roundoff of float64: the relative error bound of one rounded operation
+_UNIT_ROUNDOFF = 2.0**-53
+
+
 class _Engine:
     """What every closure on one (table, event) shares, computed once: both
     posterior partitions, the pair marginal read row-wise from each side,
-    and each outcome's certainty threshold."""
+    and each outcome's certainty threshold.
+
+    ``certain`` tests some outcomes against one set in ``ck_step``'s order
+    of summation, and ``step``, ``fixed_point`` and ``close`` iterate it.
+    ``first_step`` tests every outcome against every level set of the
+    other axis in one pass, for the sweep.
+    """
 
     def __init__(self, p: JointDistribution, event: Event, tol: float):
         self.tol = tol
+        self.exact = p.exact
         self.zero = _zero(p)
         self.parts = (
             _posterior_partition(p, event, "I", tol),
@@ -313,13 +365,47 @@ class _Engine:
         return np.array(self.parts[side].level_set(q), dtype=np.intp)
 
     def certain(self, side: int, rows, cols: np.ndarray) -> np.ndarray:
-        """Mask over ``rows`` (an index array, or a slice of every row) of
-        ``side``: which are certain of ``cols``.
+        """Mask over ``rows`` (indices of outcomes of ``side``): which are
+        certain of ``cols``.
 
         Each row is gathered contiguously and summed in ck_step's order.
         """
         inside = np.take(self.rows[side][rows], cols, axis=1).sum(axis=1)
         return inside >= self.thresholds[side][rows]
+
+    def first_step(
+        self, side: int, index: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        """``out[x, s]``: whether outcome x of ``side`` is certain of the
+        other side's level set s, for every outcome and level set at once.
+
+        The level sets are consecutive runs of ``index`` (``_runs``), so one
+        gather and one ``np.add.reduceat`` give every in-set mass. That sum
+        runs in another order than ``certain``'s and may differ from it in
+        the last bits, so an entry near its threshold is recomputed with
+        ``certain``. The band: L terms x_t summed in any order land within
+        L u sum|x_t| of their exact sum, u = 2**-53 (the inner-product
+        bound of Jeannerod and Rump, SIAM J. Matrix Anal. Appl. 34:338,
+        2013, with every other factor 1). The two orders then differ by at
+        most 2 L u sum|x_t|, so both compare alike with the shared
+        threshold whenever the reduceat sum lies at least
+        2 (L + 1) u sum|row| from it; the spare 2 u sum|row| absorbs the
+        rounding of the band and of the distance themselves. |row|, because
+        a directly built table may be signed. An all-zero row sums to
+        exactly 0 in any order and has an empty band. Exact tables sum
+        exactly and need no band.
+        """
+        rows = self.rows[side]
+        inside = np.add.reduceat(rows[:, index], starts, axis=1)
+        threshold = self.thresholds[side][:, None]
+        certain = inside >= threshold
+        if not self.exact:
+            band = (2 * _UNIT_ROUNDOFF) * np.abs(rows).sum(axis=1)[:, None] * (lengths + 1)
+            near = np.abs(inside - threshold) < band
+            for x, s in zip(*np.nonzero(near)):
+                cols = index[starts[s] : starts[s] + lengths[s]]
+                certain[x, s] = self.certain(side, [x], cols)[0]
+        return certain
 
     def step(self, a: np.ndarray, b: np.ndarray):
         """One closure step: the outcomes of a certain of b, and of b of a."""
@@ -381,7 +467,9 @@ class SweepResult(Sequence[CKReport]):
     stored as columns in row-major (q_a, q_b) order.
 
     ``q_a``, ``q_b``, ``steps`` and ``ck_holds`` hold one entry per pair.
-    ``posteriors`` holds each axis's per-outcome posteriors, and
+    ``posteriors`` holds each axis's per-outcome posteriors, equal to
+    ``axis_posteriors``'s but as Python floats (Fractions for an exact
+    table; None where the mass is at most the table's tol), and
     ``singular_ok`` is ``singular_disagreement_check``'s answer, computed
     on first read from the same engine.
     ``fixed_points`` maps a pair's index to its fixed-point sets
@@ -454,11 +542,20 @@ class SweepResult(Sequence[CKReport]):
         ]
 
 
-def _keeps_any(certain: np.ndarray, level_sets: list[np.ndarray]) -> np.ndarray:
-    """``out[r, s]``: whether row r of ``certain`` (a mask over outcomes)
-    holds any outcome of level set s; every level set is nonempty."""
-    starts = list(accumulate([len(s) for s in level_sets[:-1]], initial=0))
-    return np.logical_or.reduceat(certain[:, np.concatenate(level_sets)], starts, axis=1)
+def _runs(level_sets: tuple[tuple[int, ...], ...]):
+    """One axis's level sets as consecutive runs of one index array:
+    (index, starts, lengths); every level set is nonempty."""
+    lengths = [len(s) for s in level_sets]
+    index = np.fromiter(chain.from_iterable(level_sets), dtype=np.intp, count=sum(lengths))
+    starts = np.fromiter(accumulate(lengths[:-1], initial=0), dtype=np.intp, count=len(lengths))
+    return index, starts, np.array(lengths)
+
+
+def _keeps_any(certain: np.ndarray, index: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``out[k, s]``: whether any outcome of this axis's level set k (the
+    run of ``index`` from ``starts[k]``) is certain of the other axis's
+    level set s, given ``certain[outcome, s]``."""
+    return np.logical_or.reduceat(certain[index], starts, axis=0)
 
 
 def verify_agreement(
@@ -471,30 +568,32 @@ def verify_agreement(
     none exists, and callers treat one as a hard failure. The result's
     reports equal ``ck_closure``'s at each pair, in row-major (q_a, q_b)
     order.
+
+    Every pair's first step comes from one gather per axis (see
+    ``_Engine.first_step``). A pair whose first step keeps no outcome of
+    either level set is closed after that step, both sets empty; only the
+    other pairs iterate, from their first-step sets. An axis with no
+    outcome of mass above tol attains no posterior, so its sweep is empty.
     """
     engine = _Engine(p, event, tol)
-    sets_a, sets_b = (
-        [engine.level_set(side, q) for q in part.representatives]
-        for side, part in enumerate(engine.parts)
-    )
-    # one certainty pass per level set gives every pair's first step: which
-    # outcomes of one axis are certain of each level set of the other (the
-    # full slice reads every row in place, without gathering a copy)
-    every = slice(None)
-    certain_a = np.array([engine.certain(0, every, b) for b in sets_b])
-    certain_b = np.array([engine.certain(1, every, a) for a in sets_a])
-    # and whether that first step keeps any outcome of each level set: a
-    # pair that keeps none on either side is closed after one step, both
-    # sets empty. Each axis's level sets are read as consecutive runs of one
-    # gather, so this costs the same few numpy calls however many there are.
-    kept = _keeps_any(certain_a, sets_a).T | _keeps_any(certain_b, sets_b)
+    index_a, starts_a, lengths_a = _runs(engine.parts[0].level_sets())
+    index_b, starts_b, lengths_b = _runs(engine.parts[1].level_sets())
+    if not (len(lengths_a) and len(lengths_b)):
+        return SweepResult(engine, np.ones(0, dtype=np.intp), np.zeros(0, dtype=bool), {})
+    # certain_a[i, l]: whether outcome i of I is certain of J's level set l
+    # (and certain_b likewise); kept[k, l]: whether pair (k, l)'s first step
+    # keeps any outcome of either level set
+    certain_a = engine.first_step(0, index_b, starts_b, lengths_b)
+    certain_b = engine.first_step(1, index_a, starts_a, lengths_a)
+    kept = _keeps_any(certain_a, index_a, starts_a) | _keeps_any(certain_b, index_b, starts_b).T
     steps = np.ones(kept.size, dtype=np.intp)
     ck_holds = np.zeros(kept.size, dtype=bool)
     fixed_points = {}
     for index in np.flatnonzero(kept).tolist():
-        k, l = divmod(index, len(sets_b))
-        a, b = sets_a[k], sets_b[l]
-        a, b, steps[index] = engine.close(a, b, a[certain_a[l, a]], b[certain_b[k, b]])
+        k, l = divmod(index, len(lengths_b))
+        a = index_a[starts_a[k] : starts_a[k] + lengths_a[k]]
+        b = index_b[starts_b[l] : starts_b[l] + lengths_b[l]]
+        a, b, steps[index] = engine.close(a, b, a[certain_a[a, l]], b[certain_b[b, k]])
         if len(a) or len(b):
             fixed_points[index] = (a, b)
             ck_holds[index] = engine.weigh(a, b)[2]

@@ -214,13 +214,23 @@ def _axis_posterior(p: JointDistribution, axis: str, index: int, event: Event):
     return axis_posteriors(p, event, axis)[index]
 
 
+def _axis_event_masses(p: JointDistribution, event: Event, axis: str):
+    """Each outcome's mass on one axis, and its mass inside the event: one
+    contiguous row per outcome, summed. Every posterior is one divided by
+    the other, so all readers of posteriors share this arithmetic."""
+    masses = p.axis_masses(axis)
+    keep = axis_position(axis)
+    # the axis moved to the front, the other two in order
+    hits = p.table[:, :, list(event.sorted_members)].transpose(
+        keep, *(a for a in range(3) if a != keep)
+    )
+    return masses, np.ascontiguousarray(hits).reshape(len(masses), -1).sum(axis=1)
+
+
 def axis_posteriors(p: JointDistribution, event: Event, axis: str) -> tuple:
     """Every outcome's posterior on one axis, in one pass over the table:
     None where the outcome's mass is at most the table's tol."""
-    masses = p.axis_masses(axis)
-    n = len(masses)
-    hits = np.moveaxis(p.table[:, :, list(event.sorted_members)], axis_position(axis), 0)
-    hits = np.ascontiguousarray(hits).reshape(n, -1).sum(axis=1)
+    masses, hits = _axis_event_masses(p, event, axis)
     # built from a list: tuple(generator) resizes its result, which leaves
     # blocks stranded in the tuple free lists until a full gc
     return tuple([h / m if m > p.tol else None for h, m in zip(hits, masses)])

@@ -280,8 +280,12 @@ def _parse_process(payload: dict) -> tuple[tuple[ProcessMatrix, tuple], Event]:
             w = embed_definite_order(state, order)
         elif kind == "mixture":
             comps = _require(cons, "components", "construction")
-            ws = [embed_definite_order(state, tuple(c["order"])) for c in comps]
-            w = mix_processes(ws, [float(c["weight"]) for c in comps])
+            orders, weights = [], []
+            for n, c in enumerate(comps):
+                at = f"construction.components[{n}]"
+                orders.append(tuple(_require(c, "order", at)))
+                weights.append(float(_require(c, "weight", at)))
+            w = mix_processes([embed_definite_order(state, o) for o in orders], weights)
         else:
             raise ValidationError(f"unknown construction kind {kind!r}", "construction.kind")
     else:

@@ -4,7 +4,9 @@ The fixture table has two Alice outcomes whose posteriors differ by 1e-7,
 so the default tolerance (1e-9) keeps them apart and --tol 1e-6 merges
 them; each subcommand's output shows which tolerance it ran at. Every
 backend builds its table at the tolerance the verdict runs at, and a
-malformed scalar field in a scenario file is a validation error.
+malformed scalar field in a scenario file is a validation error, as is a
+mixture component without its order or weight. A tolerance above every
+outcome's mass leaves no posterior pair to verify.
 """
 
 import json
@@ -256,3 +258,23 @@ def test_malformed_scalar_is_a_validation_error(tmp_path, capsys, base, key, val
     bad = _write(tmp_path, "bad.json", dict(base, **{key: value}))
     assert main(["verify", bad]) == cli.EXIT_VALIDATION
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["order", "weight"])
+def test_mixture_component_without_a_key_is_located(scenarios_dir, tmp_path, capsys, key):
+    payload = json.loads((scenarios_dir / "process_mixture.json").read_text())
+    assert main(["verify", _write(tmp_path, "ok.json", payload)]) == cli.EXIT_OK
+    del payload["construction"]["components"][1][key]
+    assert main(["verify", _write(tmp_path, "bad.json", payload)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"construction.components[1].{key}: missing required key" in err
+    assert "internal error" not in err
+
+
+def test_tol_above_every_mass_sweeps_no_pair(scenarios_dir, capsys):
+    # every outcome of the uniform table has mass 0.5 <= 0.6: no posterior
+    # is attained on either axis, so there is no pair to verify
+    path = str(scenarios_dir / "table_uniform.json")
+    assert main(["verify", path, "--tol", "0.6", "--format", "records"]) == cli.EXIT_OK
+    report = parse_records(capsys.readouterr().out)
+    assert report.q_a == report.q_b == (None, None) and report.reports == ()

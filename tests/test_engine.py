@@ -7,7 +7,10 @@ reprs are compared too, so types and bits match), and
 its two oracle closures, and ``is_common_knowledge`` the oracle's A* x B*.
 The result's columns must agree with those reports, the readers of the
 columns (``violations``, ``fuzz_search``) must build no report, and each
-production reader must build one posterior partition per axis.
+production reader must build one posterior partition per axis. The sweep's
+one-pass first step and its level sets without bisection are also checked
+at the float edges where they must fall back: a sum on its threshold, two
+summation orders on either side of it, and two representatives within tol.
 """
 
 import numpy as np
@@ -35,7 +38,7 @@ from agreelab import (
     violations,
 )
 from agreelab import agreement
-from agreelab.agreement import _Engine, _posterior_partition
+from agreelab.agreement import _Engine, _PosteriorPartition, _posterior_partition
 from agreelab.joint import axis_posteriors
 from agreelab.randomgen import random_classical_model, trial_rng
 from agreelab.scenario import BACKENDS
@@ -264,6 +267,88 @@ def test_level_sets_of_trial_tables_match_the_scan():
         part = _posterior_partition(p, event, "I", 0)
         for q in probe_points(part):
             assert part.level_set(q) == scanned_level_set(part, q), (t, q)
+
+
+def test_first_step_on_its_threshold_matches_oracle():
+    # dyadic entries, so every sum is exact: row 0 of the pair marginal is
+    # [1 - tol, tol] / 2, and its mass in column 0's level set is
+    # (1 - tol) times its total, on the threshold, where the sweep's one-pass
+    # sum is recomputed in ck_step's order
+    tol = 2.0**-30
+    table = np.zeros((2, 2, 2))
+    table[0, 0] = (1 - tol) / 2 * np.array([0.25, 0.75])
+    table[0, 1] = tol / 2 * np.array([0.5, 0.5])
+    table[1, 1] = [0.375, 0.125]
+    space = OutcomeSpace(2, 2, 2)
+    p = validate_joint(table, space, tol)
+    m2 = p.table.sum(axis=2)
+    assert m2[0, 0] == (1 - tol) * m2[0].sum()
+    result = assert_matches_oracle(p, Event(space, frozenset({0})), tol)
+    assert result[0].ck_holds and (result[0].a_star, result[0].b_star) == ((0,), (0,))
+
+
+def test_first_step_between_two_summation_orders_matches_oracle():
+    # row 0's mass in the level set of columns 0-2 (posterior 1/2 each) lies
+    # on one side of its threshold summed in ck_step's order and on the
+    # other summed in one run by np.add.reduceat: the sweep must recompute it
+    tol = 2.0**-30
+    row = np.array([1 + 2.0**-52, 2.0**-29 + 2.0**-54, 2.0**-29 + 2.0**-54, tol + 2.0**-53]) / 2
+    table = np.zeros((2, 4, 2))
+    table[0] = row[:, None] / 2
+    rest = 1 - row.sum()
+    table[1, 3] = [rest / 4, 3 * rest / 4]
+    space = OutcomeSpace(2, 4, 2)
+    p = validate_joint(table, space, tol)
+    m2 = p.table.sum(axis=2)
+    assert m2[0].tolist() == row.tolist()
+    threshold = (1 - tol) * m2[0].sum()
+    in_order = m2[0, :3].sum() >= threshold
+    in_one_run = np.add.reduceat(m2[:, [0, 1, 2]], [0], axis=1)[0, 0] >= threshold
+    assert in_order != in_one_run, "the two summation orders no longer straddle the threshold"
+    assert_matches_oracle(p, Event(space, frozenset({0})), tol)
+
+
+def test_sweep_looks_up_level_sets_when_representatives_lie_within_tol():
+    # rows 0-2 share posterior x, and their mean ((x + x) + x) / 3 rounds one
+    # ulp up; row 3's posterior lies tol plus one ulp above x, so it is a
+    # cluster of its own whose representative lies within tol of the first's
+    tol = 2.0**-30
+    x = 0.75 + 2.0**-52
+    q_rows = [x, x, x, x + tol + 2.0**-53]
+    space = OutcomeSpace(4, 1, 2)
+    p = validate_joint(np.array([[[q / 4, (1 - q) / 4]] for q in q_rows]), space, tol)
+    event = Event(space, frozenset({0}))
+    part = _posterior_partition(p, event, "I", tol)
+    low, high = part.representatives
+    assert part.clusters == ((0, 1, 2), (3,)) and high - low <= tol
+    assert part.level_sets() == (part.level_set(low), part.level_set(high)) == ((0, 1, 2, 3),) * 2
+    assert_matches_oracle(p, event, tol)
+
+
+def test_level_sets_equal_the_lookup_at_each_representative():
+    parts = [
+        _posterior_partition(p, event, axis, 1e-9)
+        for backend in BACKENDS
+        for p, event in (_trial_joint(backend, trial_rng(2024, t), 4) for t in range(10))
+        for axis in "IJ"
+    ]
+    # a NaN or infinite representative is within tol of nothing, itself included
+    nan, inf = float("nan"), float("inf")
+    parts += [
+        _PosteriorPartition(np.ones(1), (nan,), ((0,),), (nan,), 1e-9),
+        _PosteriorPartition(np.ones(2), (0.5, inf), ((0,), (1,)), (0.5, inf), 1e-9),
+    ]
+    for part in parts:
+        assert part.level_sets() == tuple(part.level_set(q) for q in part.representatives)
+
+
+def test_axis_without_posteriors_sweeps_no_pair():
+    # at tol 0.6 no outcome of the uniform 2 x 2 x 2 table has mass above
+    # tol, so neither axis attains a posterior
+    space = OutcomeSpace(2, 2, 2)
+    p = validate_joint(np.full((2, 2, 2), 0.125), space)
+    result = assert_matches_oracle(p, Event(space, frozenset({0})), 0.6)
+    assert len(result) == 0 and result.singular_ok
 
 
 def test_result_is_a_sequence_of_reports():
