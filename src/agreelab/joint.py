@@ -14,6 +14,7 @@ Tables are dense numpy arrays. Two entry modes are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -162,8 +163,8 @@ def validate_joint(table, space: OutcomeSpace, tol: float = DEFAULT_TOL) -> Join
     raise :class:`NegativeMass`; total mass outside [1 - tol, 1 + tol]
     raises :class:`NotNormalized`.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     arr = np.asarray(table)
     if arr.dtype != object:
         arr = np.asarray(table, dtype=float)

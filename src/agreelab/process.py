@@ -65,6 +65,11 @@ PROCESS_TRACE_TOL = 1e-8
 # round-off (below 1e-16 on the shipped fixtures).
 VALIDITY_TOL = 1e-7
 
+# Largest imaginary part accepted in a raw joint table. A valid W with
+# valid instruments gives a real table up to round-off; a larger imaginary
+# part means W is not a process for these instruments.
+JOINT_IMAG_TOL = 1e-8
+
 # Largest dense W, in bytes, that the package builds or reads from a file:
 # every wire at dimension 4, a 4^6 x 4^6 complex matrix (256 MiB). Lab
 # dimension 5 would take 3.9 GB.
@@ -237,43 +242,22 @@ def _check_chain(state: DensityMatrix, order: tuple[str, ...], by_lab) -> None:
 
 
 def _wiring_matrix(term: WiringTerm, by_lab) -> np.ndarray:
-    """Dense W of one term, axes in the canonical (A_in, ..., E_out) order."""
-    # W = weight * rho^T on the first input, |I>><<I| wires between
-    # consecutive labs, identity on the last output. The wire projector
-    # factorizes per matrix side, |I>><<I|[(x,y),(x',y')] = d(x,y) d(x',y'),
-    # so W is a product of two-axis factors and can be materialized directly
-    # in the canonical axis order in a single pass.
-    first, second, third = term.order
-    canonical = [(lab, side) for lab in LABS for side in (0, 1)]
-    slot = {name: pos for pos, name in enumerate(canonical)}
-    factor_dims = [by_lab[lab][side] for lab, side in canonical]
-    full_shape = tuple(factor_dims) + tuple(factor_dims)
+    """Dense W of one term, axes in the canonical (A_in, ..., E_out) order.
 
-    def expanded(factor: np.ndarray, ax_row: int, ax_col: int) -> np.ndarray:
-        shape = [1] * 12
-        lo, hi = sorted((ax_row, ax_col))
-        mat = factor if ax_row < ax_col else factor.T
-        shape[lo], shape[hi] = mat.shape
-        return mat.reshape(shape)
-
-    n = 6
-    rho_t = term.weight * term.state.matrix.T
-    factors = [expanded(rho_t, slot[(first, 0)], slot[(first, 0)] + n)]
-    for x, y in ((first, second), (second, third)):
-        eye = np.eye(by_lab[x][1], dtype=complex)
-        factors.append(expanded(eye, slot[(x, 1)], slot[(y, 0)]))
-        factors.append(expanded(eye, slot[(x, 1)] + n, slot[(y, 0)] + n))
-    eye_last = np.eye(by_lab[third][1], dtype=complex)
-    factors.append(expanded(eye_last, slot[(third, 1)], slot[(third, 1)] + n))
-    w = factors[0]
-    for f in factors[1:]:
-        w = w * f
-    # a new array even when the product already spans every axis, so that
-    # ``matrix`` can sum terms into it
-    out = np.empty(full_shape, dtype=w.dtype)
-    out[...] = w
-    d = math.prod(factor_dims)
-    return out.reshape(d, d)
+    W = weight * (rho^T (x) |I>><<I| (x) |I>><<I| (x) 1) is one outer
+    product: rho^T on the first input, an identity from each output to the
+    next input on either matrix side (|I>><<I|[(x, y), (x', y')] =
+    d(x, y) d(x', y')), and an identity on the last output. Lowercase
+    letters index rows and uppercase ones columns; each lab's (in, out)
+    letter pair is placed in canonical lab order.
+    """
+    pairs = dict(zip(term.order, ("ab", "cd", "ef")))
+    rows = "".join(pairs[lab] for lab in LABS)
+    id1, id2, id3 = (np.eye(by_lab[lab][1]) for lab in term.order)
+    spec = f"aA,bc,BC,de,DE,fF->{rows}{rows.upper()}"
+    w = np.einsum(spec, term.weight * term.state.matrix.T, id1, id1, id2, id2, id3, order="C")
+    d = math.prod(d for pair in by_lab.values() for d in pair)
+    return w.reshape(d, d)
 
 
 def _stack_chois(instr: Instrument, lab: str, dims: tuple[int, int]) -> np.ndarray:
@@ -340,7 +324,7 @@ def process_joint(
     else:
         raw = _dense_table(w.matrix, chois)
     worst_imag = float(np.abs(raw.imag).max())
-    if worst_imag > 1e-8:
+    if worst_imag > JOINT_IMAG_TOL:
         raise NotNormalized(
             f"joint table has imaginary parts up to {worst_imag:.3e}; "
             "W is not a valid process for these instruments"

@@ -70,37 +70,24 @@ def random_kraus_instrument(
     rng: np.random.Generator,
     kraus_per_branch: int = 1,
 ) -> Instrument:
-    """Generic instrument from Gaussian matrices renormalized to completeness."""
+    """Generic instrument: the polar factor of stacked Gaussian Kraus draws.
+
+    The ``n_branches * kraus_per_branch`` complex Gaussian operators G_m
+    (real part, then imaginary part, operator by operator) are stacked into
+    one (N * dim_out) x dim_in matrix G. Its polar factor U V^dag, from the
+    thin SVD G = U S V^dag, is G (G^dag G)^(-1/2): every Kraus operator
+    renormalized by the same square root, so sum K^dag K = 1 to rounding
+    whatever G's condition number. ``kraus_per_branch`` is raised when needed
+    so that G has at least dim_in rows.
+    """
     # trace preservation needs rank dim_in, so enough Kraus rows in total
     need = -(-dim_in // (n_branches * dim_out))
     kraus_per_branch = max(kraus_per_branch, need)
-    raw = [
-        [
-            rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal((dim_out, dim_in))
-            for _ in range(kraus_per_branch)
-        ]
-        for _ in range(n_branches)
-    ]
-    kraus, cond = _renormalized(raw)
-    # the completeness error left is of order cond * eps, which a nearly
-    # singular draw lifts above COMPLETENESS_TOL; a second pass, on a sum
-    # already near the identity, takes it back to rounding
-    if cond > 1e4:
-        kraus, _ = _renormalized(kraus)
+    z = rng.standard_normal((n_branches * kraus_per_branch, 2, dim_out, dim_in))
+    g = (z[:, 0] + 1j * z[:, 1]).reshape(-1, dim_in)
+    u, _, vh = np.linalg.svd(g, full_matrices=False)
+    kraus = (u @ vh).reshape(n_branches, kraus_per_branch, dim_out, dim_in)
     return Instrument(tuple(tuple(branch) for branch in kraus))
-
-
-def _renormalized(branches):
-    """Every Kraus operator times (sum K^dag K)^(-1/2), and the condition
-    number of that sum."""
-    dim_in = branches[0][0].shape[1]
-    total = np.zeros((dim_in, dim_in), dtype=complex)
-    for branch in branches:
-        for g in branch:
-            total += g.conj().T @ g
-    vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
-    return [[g @ inv_sqrt for g in branch] for branch in branches], vals[-1] / vals[0]
 
 
 def random_instrument(

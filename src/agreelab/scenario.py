@@ -87,9 +87,19 @@ def _prior_entry(x, where: str):
     return Fraction(x) if isinstance(x, int) else float(x)
 
 
-def _state(data, where: str) -> DensityMatrix:
+def _state(data, where: str, max_dim: int) -> DensityMatrix:
+    """A state matrix, or ``{"maximally_mixed": d}`` with 1 <= d <= ``max_dim``,
+    the largest input dimension of the scenario's instruments; d is checked
+    before the d x d matrix is built."""
     if isinstance(data, dict) and "maximally_mixed" in data:
-        return DensityMatrix.maximally_mixed(int(data["maximally_mixed"]))
+        d = int(data["maximally_mixed"])
+        if not 1 <= d <= max_dim:
+            raise ValidationError(
+                f"must be between 1 and {max_dim}, the largest instrument input dimension; "
+                f"got {d}",
+                f"{where}.maximally_mixed",
+            )
+        return DensityMatrix.maximally_mixed(d)
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
     return DensityMatrix(_complex_matrix(data, where))
@@ -241,7 +251,8 @@ def _parse_quantum(payload: dict) -> tuple[QuantumScenario, Event]:
         name = _require(preset, "name", "preset")
         if name != "block_rotation":
             raise ValidationError(f"unknown preset {name!r}", "preset.name")
-        state = _state(preset["state"], "preset.state") if "state" in preset else None
+        # the preset's instruments are four dimensional
+        state = _state(preset["state"], "preset.state", 4) if "state" in preset else None
         qs = block_rotation_scenario(
             float(_require(preset, "theta", "preset")),
             float(_require(preset, "phi", "preset")),
@@ -252,8 +263,9 @@ def _parse_quantum(payload: dict) -> tuple[QuantumScenario, Event]:
         if "event" in payload:
             qs = replace(qs, event=_event_from(payload, qs.space))
         return qs, qs.event
-    state = _state(_require(payload, "state", ""), "state")
     instruments, space = _instruments(payload)
+    max_dim = max(instr.dim_in for instr in instruments)
+    state = _state(_require(payload, "state", ""), "state", max_dim)
     event = _event_from(payload, space)
     qs = QuantumScenario(state, *instruments, order=str(payload.get("order", "ABE")), event=event)
     return qs, event
@@ -274,7 +286,8 @@ def _parse_process(payload: dict) -> tuple[tuple[ProcessMatrix, tuple], Event]:
     elif "construction" in payload:
         cons = payload["construction"]
         kind = _require(cons, "kind", "construction")
-        state = _state(_require(cons, "state", "construction"), "construction.state")
+        max_dim = max(instr.dim_in for instr in instruments)
+        state = _state(_require(cons, "state", "construction"), "construction.state", max_dim)
         if kind == "definite_order":
             order = tuple(_require(cons, "order", "construction"))
             w = embed_definite_order(state, order)

@@ -70,7 +70,8 @@ def fuzz_search(
         violation_count += len(result.violating())
         if not result.singular_ok:
             singular_failures += 1
-        steps = int(result.steps.max())
+        # a sweep with no attained pair (every mass at or below tol) takes 0 steps
+        steps = int(result.steps.max(initial=0))
         max_steps = max(max_steps, steps)
         bound = joint.space.size_i + joint.space.size_j
         if steps > bound:

@@ -5,10 +5,12 @@ so the default tolerance (1e-9) keeps them apart and --tol 1e-6 merges
 them; each subcommand's output shows which tolerance it ran at. Every
 backend builds its table at the tolerance the verdict runs at, and a
 malformed scalar field in a scenario file is a validation error, as is a
-mixture component without its order or weight. A tolerance above every
-outcome's mass leaves no posterior pair to verify.
+mixture component without its order or weight, or a maximally mixed
+state wider than every instrument. A tolerance above every outcome's mass
+leaves no posterior pair to verify.
 """
 
+import copy
 import json
 
 import pytest
@@ -249,8 +251,23 @@ MIXED_QUBIT = {
         (MINIMAL_TABLE, "event", ["zero"]),
         (BLOCK_PRESET, "preset", dict(BLOCK_PRESET["preset"], theta="wide")),
         (MIXED_QUBIT, "state", {"maximally_mixed": "x"}),
+        (MIXED_QUBIT, "state", {"maximally_mixed": 0}),
+        (MIXED_QUBIT, "state", {"maximally_mixed": 3}),
+        (BLOCK_PRESET, "preset", dict(BLOCK_PRESET["preset"], state={"maximally_mixed": 5})),
     ],
-    ids=["tolerance", "null-tolerance", "seed", "p", "num_states", "event", "theta", "mixed"],
+    ids=[
+        "tolerance",
+        "null-tolerance",
+        "seed",
+        "p",
+        "num_states",
+        "event",
+        "theta",
+        "mixed",
+        "mixed-zero",
+        "mixed-above-instruments",
+        "preset-mixed-above-instruments",
+    ],
 )
 def test_malformed_scalar_is_a_validation_error(tmp_path, capsys, base, key, value):
     # the well-formed file verifies, so the malformed field is what fails
@@ -258,6 +275,43 @@ def test_malformed_scalar_is_a_validation_error(tmp_path, capsys, base, key, val
     bad = _write(tmp_path, "bad.json", dict(base, **{key: value}))
     assert main(["verify", bad]) == cli.EXIT_VALIDATION
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, at, where",
+    [
+        (MIXED_QUBIT, [], "state"),
+        (BLOCK_PRESET, ["preset"], "preset.state"),
+        ("process_definite.json", ["construction"], "construction.state"),
+    ],
+    ids=["quantum", "preset", "construction"],
+)
+def test_oversize_maximally_mixed_is_refused_before_it_is_built(
+    scenarios_dir, tmp_path, capsys, base, at, where
+):
+    # a d x d state is never built for a d no instrument can take; at
+    # d = 2000 that matrix alone is 61 MiB
+    if isinstance(base, str):
+        payload = json.loads((scenarios_dir / base).read_text())
+    else:
+        payload = copy.deepcopy(base)
+    block = payload
+    for key in at:
+        block = block[key]
+    block["state"] = {"maximally_mixed": 2000}
+    assert main(["verify", _write(tmp_path, "big.json", payload)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{where}.maximally_mixed: must be between 1 and" in err
+
+
+@pytest.mark.parametrize("backend", ["table", "classical", "quantum", "process"])
+def test_search_with_tol_above_most_masses_reports(backend, capsys):
+    # some trials leave no posterior pair to sweep; the run still reports
+    code = main(["search", "--backend", backend, "--trials", "20", "--tol", "0.6"])
+    assert code != cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "internal error" not in captured.err
+    assert f"backend {backend}" in captured.out
 
 
 @pytest.mark.parametrize("key", ["order", "weight"])

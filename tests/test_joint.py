@@ -96,6 +96,12 @@ class TestValidateJoint:
         with pytest.raises(NegativeMass, match="flat index 3 is -1/3"):
             validate_joint(table, space)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a non-finite tol would pass any mass, here a table of mass 10
+        with pytest.raises(ValueError, match="finite and positive"):
+            validate_joint(np.full((1, 1, 1), 10.0), OutcomeSpace(1, 1, 1), tol)
+
     def test_table_is_immutable(self):
         joint = validate_joint(np.full((1, 1, 1), 1.0), OutcomeSpace(1, 1, 1))
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from agreelab import (
 )
 from agreelab import matrices as mx
 from agreelab.cli import EXIT_OK, main
-from agreelab.process import DENSE_W_BUDGET_BYTES
+from agreelab.process import DENSE_W_BUDGET_BYTES, JOINT_IMAG_TOL
 from agreelab.randomgen import random_density, random_instrument, trial_rng
 from agreelab.scenario import complex_matrix_to_json, parse_scenario
 
@@ -143,6 +143,21 @@ class TestProcessJoint:
         ident = Instrument.identity(2)
         with pytest.raises(NotNormalized):
             process_joint(half, ident, ident, ident)
+
+    def test_imaginary_table_is_refused_above_its_bound(self):
+        # i * c * 1 / prod(d_out) added to W puts exactly i * c on the one
+        # table entry of identity instruments (their Choi product has trace
+        # prod(d_out)): refused just above JOINT_IMAG_TOL, kept just below it
+        w = embed_definite_order(DensityMatrix.maximally_mixed(2))
+        ident = Instrument.identity(2)
+        for scale, passes in ((2.0, False), (0.5, True)):
+            skew = 1j * scale * JOINT_IMAG_TOL * np.eye(w.total_dim) / w.output_dim_product
+            bent = ProcessMatrix(w.matrix + skew, w.lab_dims, validate=False)
+            if passes:
+                assert process_joint(bent, ident, ident, ident).table[0, 0, 0] == pytest.approx(1)
+            else:
+                with pytest.raises(NotNormalized, match="imaginary parts"):
+                    process_joint(bent, ident, ident, ident)
 
     def test_instrument_dims_must_match(self):
         w = embed_definite_order(DensityMatrix.maximally_mixed(2))

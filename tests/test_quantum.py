@@ -22,7 +22,9 @@ from agreelab import (
     verify_agreement,
     violations,
 )
-from agreelab.randomgen import random_quantum_scenario, trial_rng
+from agreelab import matrices as mx
+from agreelab.quantum import completeness_deviation
+from agreelab.randomgen import random_kraus_instrument, random_quantum_scenario, trial_rng
 
 from conftest import pure_state
 
@@ -280,3 +282,43 @@ class TestStateDependence:
         joint = sequential_joint(scenario)
         assert is_common_knowledge(joint, scenario.event, 0, 0)
         assert not is_common_knowledge(joint, scenario.event, 2, 2)
+
+
+class TestRandomKrausInstrument:
+    """The draw is the polar factor of the stacked Gaussian operators G:
+    K = G (G^dag G)^(-1/2), so K is an isometry and K^dag G = (G^dag G)^(1/2)
+    is hermitian positive definite."""
+
+    @pytest.mark.parametrize(
+        "dim_in, dim_out, n_branches, kraus_per_branch, drawn_per_branch",
+        [
+            (4, 2, 2, 1, 1),  # square: N * dim_out == dim_in
+            (4, 2, 1, 1, 2),  # one operator of rank 2 < 4 is bumped to two
+            (4, 1, 2, 1, 2),  # rank-1 effects bumped to reach rank 4
+            (3, 2, 3, 2, 2),  # tall G
+        ],
+    )
+    def test_polar_factor_of_the_gaussian_draw(
+        self, dim_in, dim_out, n_branches, kraus_per_branch, drawn_per_branch
+    ):
+        for trial in range(20):
+            instr = random_kraus_instrument(
+                dim_in, dim_out, n_branches, trial_rng(43, trial), kraus_per_branch
+            )
+            # G regenerated in the documented order: operator by operator,
+            # real part then imaginary part
+            rng = trial_rng(43, trial)
+            g = np.vstack(
+                [
+                    rng.standard_normal((dim_out, dim_in))
+                    + 1j * rng.standard_normal((dim_out, dim_in))
+                    for _ in range(n_branches * drawn_per_branch)
+                ]
+            )
+            assert instr.n_branches == n_branches
+            assert all(len(branch) == drawn_per_branch for branch in instr.branches)
+            k = np.vstack([op for branch in instr.branches for op in branch])
+            assert completeness_deviation(instr) <= 1e-13
+            root = mx.dagger(k) @ g
+            assert mx.hermiticity_deviation(root) <= 1e-12 * np.abs(g).max()
+            assert mx.min_eigenvalue(root) > 0

@@ -25,11 +25,20 @@ def test_small_sweeps_find_nothing(backend):
 
 def test_nearly_singular_kraus_draw_stays_trace_preserving():
     # trial 3 of this seed draws a 4 -> 2 one-branch instrument whose
-    # sum G^dag G has condition number 1.6e7; one normalization pass left
-    # ||sum K^dag K - 1|| = 2.2e-9, above COMPLETENESS_TOL, and the fuzz
-    # refused its own draw
+    # sum G^dag G has condition number 1.6e7; renormalizing by the inverse
+    # square root of that sum once left ||sum K^dag K - 1|| = 2.2e-9, above
+    # COMPLETENESS_TOL, while the polar factor of G is an isometry to rounding
     summary = fuzz_search("quantum", trials=4, max_dim=4, seed=6950883801045473076)
     assert summary.passed
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_trial_without_an_attained_pair_counts_zero_steps(backend):
+    # at tol 0.6 most trial tables have no outcome above tol on some axis,
+    # so their sweeps hold no pair: fewer closures than trials
+    summary = fuzz_search(backend, trials=20, seed=0, tol=0.6)
+    assert summary.closures_examined < summary.trials
+    assert summary.violation_count == 0
 
 
 def test_identical_seeds_are_byte_identical():
