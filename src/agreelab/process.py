@@ -8,8 +8,7 @@ probability to the observed branches without presupposing a causal order:
 
 where C_X is the Choi operator of the branch. Definite-order circuits,
 classical mixtures of orders, and causally indefinite processes all fit
-this rule; the definite-order embedding here is cross-checked against the
-sequential composition in :mod:`agreelab.quantum`.
+this rule, which is the contract for an explicit W.
 
 Conventions, fixed once and used everywhere:
 
@@ -33,14 +32,14 @@ explicit ``ProcessMatrix`` runs it at construction, raising
 A :class:`ProcessMatrix` is held in one of two forms. Constructed
 processes (:func:`embed_definite_order`, :func:`mix_processes`) are
 factored: a convex sum of definite-order circuits, each a state, identity
-wires and a discarded last output. :func:`process_joint` contracts each
-lab's Choi stack straight against those factors, a link-product chain
-along the order, so the d^12-entry W is never built. An explicit W, such
-as the quantum switch read from a file, is dense and contracted in one
-einsum. A dense W above :data:`DENSE_W_BUDGET_BYTES` is refused with
-:class:`ValidationError` before it is allocated: materializing a factored
-process's ``matrix``, or reading an explicit W whose declared lab dims
-imply one.
+wires and a discarded last output. :func:`process_joint` composes each
+circuit from the labs' Kraus operators, as a quantum scenario is, so
+neither the d^12-entry W nor a Choi operator is built. An explicit W, such
+as the quantum switch read from a file, is dense and contracted against
+the labs' Choi stacks in one einsum. A dense W above
+:data:`DENSE_W_BUDGET_BYTES` is refused with :class:`ValidationError`
+before it is allocated: materializing a factored process's ``matrix``, or
+reading an explicit W whose declared lab dims imply one.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import numpy as np
 from . import matrices as mx
 from .errors import BadWeights, DimensionMismatch, NotNormalized, ValidationError
 from .joint import DEFAULT_TOL, JointDistribution, OutcomeSpace, validate_joint
-from .quantum import DensityMatrix, Instrument, choi_stack
+from .quantum import DensityMatrix, Instrument, choi_stack, compose_table, kraus_stack
 
 LABS = ("A", "B", "E")
 
@@ -158,19 +157,17 @@ class ProcessMatrix:
         w = cls.__new__(cls)
         w._set(lab_dims, tuple(terms), None)
         tr = sum(t.weight * complex(np.trace(t.state.matrix)).real for t in terms)
-        w._check_trace(tr * w.output_dim_product)
+        tr *= w.output_dim_product
+        if abs(tr - w.output_dim_product) > PROCESS_TRACE_TOL:
+            raise ValidationError(
+                f"process matrix trace {tr} != product of output dims {w.output_dim_product}"
+            )
         return w
 
     def _set(self, lab_dims: LabDims, terms: tuple[WiringTerm, ...], dense) -> None:
         object.__setattr__(self, "lab_dims", lab_dims)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_dense", dense)
-
-    def _check_trace(self, tr: float) -> None:
-        if abs(tr - self.output_dim_product) > PROCESS_TRACE_TOL:
-            raise ValidationError(
-                f"process matrix trace {tr} != product of output dims {self.output_dim_product}"
-            )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -185,19 +182,12 @@ class ProcessMatrix:
         return w
 
     @property
-    def factor_dims(self) -> tuple[int, ...]:
-        return tuple(d for pair in self.lab_dims for d in pair)
-
-    @property
     def total_dim(self) -> int:
-        return int(np.prod(self.factor_dims))
+        return math.prod(d for pair in self.lab_dims for d in pair)
 
     @property
     def output_dim_product(self) -> int:
         return int(np.prod([pair[1] for pair in self.lab_dims]))
-
-    def dims_of(self, lab: str) -> tuple[int, int]:
-        return self.lab_dims[LABS.index(lab)]
 
 
 def _as_process_matrix(matrix, lab_dims: LabDims) -> np.ndarray:
@@ -260,45 +250,19 @@ def _wiring_matrix(term: WiringTerm, by_lab) -> np.ndarray:
     return w.reshape(d, d)
 
 
-def _stack_chois(instr: Instrument, lab: str, dims: tuple[int, int]) -> np.ndarray:
-    if (instr.dim_in, instr.dim_out) != dims:
-        raise DimensionMismatch(
-            f"instrument for lab {lab} has dims {(instr.dim_in, instr.dim_out)}, "
-            f"process expects {dims}"
-        )
-    return choi_stack(instr)
-
-
-def _dense_table(matrix: np.ndarray, chois: Sequence[np.ndarray]) -> np.ndarray:
-    """Raw complex table of an explicit W against the labs' Choi stacks."""
-    ca, cb, ce = chois
-    da, db, de = ca.shape[1], cb.shape[1], ce.shape[1]
-    wt = matrix.reshape(da, db, de, da, db, de)
+def _dense_table(matrix: np.ndarray, instrs: Sequence[Instrument]) -> np.ndarray:
+    """Table of an explicit W against the labs' Choi stacks, real parts kept."""
+    ca, cb, ce = (choi_stack(instr) for instr in instrs)
+    wt = matrix.reshape((ca.shape[1], cb.shape[1], ce.shape[1]) * 2)
     # p[ijk] = sum C_A[i,a,a'] C_B[j,b,b'] C_E[k,c,c'] W[(a'b'c'),(abc)]
-    return np.einsum("iaA,jbB,kcC,ABCabc->ijk", ca, cb, ce, wt, optimize=True)
-
-
-def _factored_table(
-    terms: Sequence[WiringTerm], chois: Sequence[np.ndarray], lab_dims: LabDims
-) -> np.ndarray:
-    """Raw complex table of a factored W: per term, the link-product chain of
-    the Choi stacks along the term's order, weighted and summed."""
-    by_lab = dict(zip(LABS, lab_dims))
-    stacks = {
-        lab: c.reshape(len(c), *by_lab[lab], *by_lab[lab]) for lab, c in zip(LABS, chois)
-    }
-
-    def term_table(t: WiringTerm) -> np.ndarray:
-        # C[i, in, out, in', out'] against the term's W factors: rho^T[in', in]
-        # on the first lab, delta wires from each output to the next input on
-        # both matrix sides, and the last output traced out.
-        cx, cy, cz = (stacks[lab] for lab in t.order)
-        p = np.einsum("iabcd,ac->ibd", cx, t.state.matrix)
-        p = np.einsum("ibd,jbedf->ijef", p, cy)
-        p = np.einsum("ijef,kegfg->ijk", p, cz)
-        return p.transpose([t.order.index(lab) for lab in LABS])
-
-    return sum(t.weight * term_table(t) for t in terms)
+    raw = np.einsum("iaA,jbB,kcC,ABCabc->ijk", ca, cb, ce, wt, optimize=True)
+    worst_imag = float(np.abs(raw.imag).max())
+    if worst_imag > JOINT_IMAG_TOL:
+        raise NotNormalized(
+            f"joint table has imaginary parts up to {worst_imag:.3e}; "
+            "W is not a valid process for these instruments"
+        )
+    return raw.real
 
 
 def process_joint(
@@ -310,27 +274,23 @@ def process_joint(
 ) -> JointDistribution:
     """Joint outcome table tr[(C_Ai (x) C_Bj (x) C_Ek) W] over all branches.
 
-    A factored W is contracted term by term and never materialized; an
-    explicit W is contracted in one pass. Raises :class:`NotNormalized`
+    A factored W is summed over its terms, each a definite-order circuit
+    composed from the labs' Kraus operators; an explicit W is contracted
+    against their Choi stacks in one pass, and a table whose imaginary part
+    exceeds :data:`JOINT_IMAG_TOL` is refused. Raises :class:`NotNormalized`
     when the table does not sum to one, which signals a W that is not a
     valid process for these instrument dimensions.
     """
-    chois = [
-        _stack_chois(instr, lab, w.dims_of(lab))
-        for instr, lab in zip((instr_a, instr_b, instr_e), LABS)
-    ]
+    instrs = (instr_a, instr_b, instr_e)
+    dims = tuple((instr.dim_in, instr.dim_out) for instr in instrs)
+    if dims != w.lab_dims:
+        raise DimensionMismatch(f"instruments have dims {dims}, process expects {w.lab_dims}")
     if w.terms:
-        raw = _factored_table(w.terms, chois, w.lab_dims)
+        stacks = {lab: kraus_stack(instr) for lab, instr in zip(LABS, instrs)}
+        raw = sum(t.weight * compose_table(t.state.matrix, stacks, t.order) for t in w.terms)
     else:
-        raw = _dense_table(w.matrix, chois)
-    worst_imag = float(np.abs(raw.imag).max())
-    if worst_imag > JOINT_IMAG_TOL:
-        raise NotNormalized(
-            f"joint table has imaginary parts up to {worst_imag:.3e}; "
-            "W is not a valid process for these instruments"
-        )
-    space = OutcomeSpace(instr_a.n_branches, instr_b.n_branches, instr_e.n_branches)
-    return validate_joint(raw.real, space, tol)
+        raw = _dense_table(w.matrix, instrs)
+    return validate_joint(raw, OutcomeSpace(*(instr.n_branches for instr in instrs)), tol)
 
 
 def embed_definite_order(

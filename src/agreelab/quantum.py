@@ -1,18 +1,18 @@
-"""Density matrices, instruments in Kraus form, and sequential joint tables.
+"""Density matrices, instruments in Kraus form, and definite-order tables.
 
 An instrument is a finite collection of completely positive "branches",
 one per outcome, whose sum is trace preserving. Applying branch b to a
 state rho gives the unnormalized post-measurement state; its trace is the
-outcome probability. Chaining three instruments in a declared temporal
-order and tracing at the end yields the joint outcome table consumed by
-the rest of the package.
+outcome probability. :func:`compose_table` chains three labs' Kraus stacks
+in a temporal order and traces at the end: it builds the joint table of a
+quantum scenario and of each term of a factored process matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -184,6 +184,11 @@ def choi_stack(instr: Instrument) -> np.ndarray:
     return np.add.reduceat(outer, starts, axis=0)
 
 
+def _sandwich(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """K rho K^dag; stacks of operators and of states broadcast."""
+    return k @ rho @ k.conj().swapaxes(-1, -2)
+
+
 def apply_branch(branch: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     """Unnormalized post-measurement state sum_m K_m rho K_m^dag.
 
@@ -194,12 +199,52 @@ def apply_branch(branch: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     for k in branch:
         k = mx.as_complex_matrix(k, "kraus operator")
         if k.shape[1] != rho.shape[0] or rho.shape[0] != rho.shape[1]:
-            raise DimensionMismatch(
-                f"kraus operator {k.shape} cannot act on state {rho.shape}"
-            )
-        term = k @ rho @ mx.dagger(k)
+            raise DimensionMismatch(f"kraus operator {k.shape} cannot act on state {rho.shape}")
+        term = _sandwich(k, rho)
         out = term if out is None else out + term
     return out
+
+
+def kraus_stack(instr: Instrument) -> tuple[np.ndarray, np.ndarray]:
+    """The (branches, operators, d_out, d_in) array of an instrument's Kraus
+    operators, zero padded to the longest branch, and each branch's count."""
+    counts = np.array([len(branch) for branch in instr.branches])
+    ops = np.zeros((len(counts), counts.max(), instr.dim_out, instr.dim_in), dtype=complex)
+    for b, branch in enumerate(instr.branches):
+        ops[b, : counts[b]] = branch
+    return ops, counts
+
+
+# Complex entries (1 MiB) in one block of post-measurement states: however
+# many branches, a stage holds a few MiB and never every final state.
+_STATE_BLOCK_ENTRIES = 2**16
+
+
+def _branch_traces(states: np.ndarray, stacks: Sequence[tuple]) -> np.ndarray:
+    """p[s, x, y, ...]: trace left on state s by branch x of the first Kraus
+    stack, then y of the next, and so on; each entry has the bits of a chain
+    of apply_branch calls (Kraus terms added in order, padding skipped)."""
+    if not stacks:
+        return np.trace(states, axis1=-2, axis2=-1).real
+    (ops, counts), rest = stacks[0], stacks[1:]
+    n, n_ops, d_out, d_in = ops.shape
+    out = np.empty((len(states), *(len(c) for _, c in stacks)))
+    block = max(1, _STATE_BLOCK_ENTRIES // (n * d_out * max(d_in, d_out)))
+    for lo in range(0, len(states), block):
+        chunk = states[lo : lo + block, None]
+        post = _sandwich(ops[:, 0], chunk)
+        for m in range(1, n_ops):
+            np.add(post, _sandwich(ops[:, m], chunk), out=post, where=(counts > m)[:, None, None])
+        part = out[lo : lo + block]
+        part[...] = _branch_traces(post.reshape(-1, d_out, d_out), rest).reshape(part.shape)
+    return out
+
+
+def compose_table(rho: np.ndarray, stacks: Mapping[str, tuple], order: Sequence[str]) -> np.ndarray:
+    """Raw table p(i, j, k) of ``rho`` fed to the labs in ``order``, each
+    applying every branch of its :func:`kraus_stack` in ``stacks``."""
+    staged = _branch_traces(rho[None], [stacks[lab] for lab in order])[0]
+    return staged.transpose([order.index(lab) for lab in "ABE"])
 
 
 @dataclass(frozen=True)
@@ -254,18 +299,8 @@ def sequential_joint(scenario: QuantumScenario, tol: float = DEFAULT_TOL) -> Joi
     in the scenario's temporal order; the output axes are always (i, j, k).
     """
     s = scenario
-    chain = s.instrument_chain()
-    staged = np.zeros([instr.n_branches for instr in chain], dtype=float)
-    first, second, third = chain
-    for x, br_x in enumerate(first.branches):
-        rho_x = apply_branch(br_x, s.state.matrix)
-        for y, br_y in enumerate(second.branches):
-            rho_xy = apply_branch(br_y, rho_x)
-            for z, br_z in enumerate(third.branches):
-                staged[x, y, z] = complex(np.trace(apply_branch(br_z, rho_xy))).real
-    # staged axes follow the temporal order; the table's are (i, j, k)
-    table = staged.transpose([s.order.index(c) for c in "ABE"])
-    return validate_joint(table, s.space, tol)
+    stacks = {lab: kraus_stack(i) for lab, i in zip("ABE", (s.instr_a, s.instr_b, s.instr_e))}
+    return validate_joint(compose_table(s.state.matrix, stacks, s.order), s.space, tol)
 
 
 def _block_basis(theta: float, phi: float) -> np.ndarray:

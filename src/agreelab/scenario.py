@@ -59,6 +59,19 @@ def _require(payload: dict, key: str, where: str):
     return payload[key]
 
 
+def _integer(x, where: str) -> int:
+    """An integer field: a bool or a fractional number is refused, not truncated."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ValidationError(f"must be an integer, got {x!r}", where)
+    return int(x)
+
+
+def _integers(values, where: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValidationError("must be a list of integers", where)
+    return tuple(_integer(x, f"{where}[{n}]") for n, x in enumerate(values))
+
+
 def _complex_matrix(data, where: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
@@ -92,7 +105,7 @@ def _state(data, where: str, max_dim: int) -> DensityMatrix:
     the largest input dimension of the scenario's instruments; d is checked
     before the d x d matrix is built."""
     if isinstance(data, dict) and "maximally_mixed" in data:
-        d = int(data["maximally_mixed"])
+        d = _integer(data["maximally_mixed"], f"{where}.maximally_mixed")
         if not 1 <= d <= max_dim:
             raise ValidationError(
                 f"must be between 1 and {max_dim}, the largest instrument input dimension; "
@@ -185,25 +198,23 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _event_from(payload: dict, space: OutcomeSpace) -> Event:
-    members = _require(payload, "event", "")
-    if not isinstance(members, list):
-        raise ValidationError("event must be a list of K indices", "event")
+    members = _integers(_require(payload, "event", ""), "event")
     try:
-        return Event(space, frozenset(int(k) for k in members))
+        return Event(space, frozenset(members))
     except AgreeLabError as e:
         raise ValidationError(str(e), "event") from e
 
 
 def _parse_table(payload: dict) -> tuple[tuple[np.ndarray, OutcomeSpace], Event]:
-    sizes = _require(payload, "sizes", "")
-    if not (isinstance(sizes, list) and len(sizes) == 3):
+    sizes = _integers(_require(payload, "sizes", ""), "sizes")
+    if len(sizes) != 3:
         raise ValidationError("sizes must be the three axis sizes [|I|, |J|, |K|]", "sizes")
     labels = payload.get("labels", {})
     if not isinstance(labels, dict):
         raise ValidationError("labels must map axis names to label lists", "labels")
     try:
         space = OutcomeSpace(
-            *(int(s) for s in sizes),
+            *sizes,
             labels_i=tuple(labels["I"]) if "I" in labels else None,
             labels_j=tuple(labels["J"]) if "J" in labels else None,
             labels_k=tuple(labels["K"]) if "K" in labels else None,
@@ -219,7 +230,7 @@ def _parse_table(payload: dict) -> tuple[tuple[np.ndarray, OutcomeSpace], Event]
 
 
 def _parse_classical(payload: dict) -> tuple[ClassicalModel, Event]:
-    n = int(_require(payload, "num_states", ""))
+    n = _integer(_require(payload, "num_states", ""), "num_states")
     raw_prior = _require(payload, "prior", "")
     if not isinstance(raw_prior, list) or len(raw_prior) != n:
         raise ValidationError(f"prior must list {n} entries", "prior")
@@ -228,10 +239,10 @@ def _parse_classical(payload: dict) -> tuple[ClassicalModel, Event]:
         prior = tuple(float(x) for x in prior)
     model = ClassicalModel(
         prior=prior,
-        part_a=tuple(_require(payload, "partition_a", "")),
-        part_b=tuple(_require(payload, "partition_b", "")),
-        part_e=tuple(_require(payload, "partition_e", "")),
-        event_cells=frozenset(int(c) for c in _require(payload, "event", "")),
+        part_a=_integers(_require(payload, "partition_a", ""), "partition_a"),
+        part_b=_integers(_require(payload, "partition_b", ""), "partition_b"),
+        part_e=_integers(_require(payload, "partition_e", ""), "partition_e"),
+        event_cells=frozenset(_integers(_require(payload, "event", ""), "event")),
     )
     return model, model.event
 
@@ -274,15 +285,14 @@ def _parse_quantum(payload: dict) -> tuple[QuantumScenario, Event]:
 def _parse_process(payload: dict) -> tuple[tuple[ProcessMatrix, tuple], Event]:
     instruments, space = _instruments(payload)
     if "w" in payload:
-        lab_dims_raw = _require(payload, "lab_dims", "")
-        lab_dims = []
-        for lab in LABS:
-            pair = _require(lab_dims_raw, lab, "lab_dims")
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError("expected [dim_in, dim_out]", f"lab_dims.{lab}")
-            lab_dims.append((int(pair[0]), int(pair[1])))
-        check_dense_budget(tuple(lab_dims))
-        w = ProcessMatrix(_complex_matrix(payload["w"], "w"), tuple(lab_dims))
+        raw_dims = _require(payload, "lab_dims", "")
+        lab_dims = tuple(
+            _integers(_require(raw_dims, lab, "lab_dims"), f"lab_dims.{lab}") for lab in LABS
+        )
+        if any(len(pair) != 2 for pair in lab_dims):
+            raise ValidationError("expected [dim_in, dim_out] for each lab", "lab_dims")
+        check_dense_budget(lab_dims)
+        w = ProcessMatrix(_complex_matrix(payload["w"], "w"), lab_dims)
     elif "construction" in payload:
         cons = payload["construction"]
         kind = _require(cons, "kind", "construction")

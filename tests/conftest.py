@@ -1,6 +1,7 @@
 """Shared fixtures: the four-state ontic model, the block-rotation example,
 and brute-force oracles used to pin expected values independently of the
-library code paths under test."""
+library code paths under test, among them two references for the Kraus
+composition behind every definite-order table."""
 
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ import pytest
 from agreelab import (
     ClassicalModel,
     DensityMatrix,
+    apply_branch,
     block_rotation_scenario,
+    choi_stack,
     embed_classical,
     sequential_joint,
 )
@@ -93,3 +96,43 @@ def enum_conditional(table: np.ndarray, t_axis: int, t_set, g_axis: int, g_set) 
 
 def pure_state(vec) -> DensityMatrix:
     return DensityMatrix.pure(np.asarray(vec, dtype=complex))
+
+
+def staged_table(scenario) -> np.ndarray:
+    """Raw table of a quantum scenario from nested apply_branch calls, one
+    per branch of each stage, traced with np.trace: the staged loop whose
+    bits the composition in sequential_joint keeps."""
+    chain = scenario.instrument_chain()
+    staged = np.zeros([instr.n_branches for instr in chain], dtype=float)
+    first, second, third = chain
+    for x, br_x in enumerate(first.branches):
+        rho_x = apply_branch(br_x, scenario.state.matrix)
+        for y, br_y in enumerate(second.branches):
+            rho_xy = apply_branch(br_y, rho_x)
+            for z, br_z in enumerate(third.branches):
+                staged[x, y, z] = complex(np.trace(apply_branch(br_z, rho_xy))).real
+    # staged axes follow the temporal order; the table's are (i, j, k)
+    return staged.transpose([scenario.order.index(c) for c in "ABE"])
+
+
+def choi_link_table(w, instr_a, instr_b, instr_e) -> np.ndarray:
+    """Raw complex table of a factored W by the Choi link product: per term,
+    each lab's Choi stack contracted along the term's order, weighted and
+    summed. It shares no arithmetic with the Kraus composition, so the
+    cross-backend checks compare two independent contractions."""
+    stacks = {
+        lab: choi_stack(instr).reshape(instr.n_branches, *dims, *dims)
+        for lab, instr, dims in zip("ABE", (instr_a, instr_b, instr_e), w.lab_dims)
+    }
+
+    def term_table(t) -> np.ndarray:
+        # C[i, in, out, in', out'] against the term's W factors: rho^T[in', in]
+        # on the first lab, delta wires from each output to the next input on
+        # both matrix sides, and the last output traced out.
+        cx, cy, cz = (stacks[lab] for lab in t.order)
+        p = np.einsum("iabcd,ac->ibd", cx, t.state.matrix)
+        p = np.einsum("ibd,jbedf->ijef", p, cy)
+        p = np.einsum("ijef,kegfg->ijk", p, cz)
+        return p.transpose([t.order.index(lab) for lab in "ABE"])
+
+    return sum(t.weight * term_table(t) for t in w.terms)

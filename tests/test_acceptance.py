@@ -41,7 +41,7 @@ from agreelab.randomgen import (
 from agreelab.scenario import parse_scenario
 from agreelab.search import fuzz_search
 
-from conftest import SCENARIOS
+from conftest import SCENARIOS, choi_link_table
 
 
 @contextmanager
@@ -198,6 +198,10 @@ def test_criterion_5_cross_backend_equivalence():
             seq = sequential_joint(scenario)
             emb = process_joint(w, instr_a, instr_b, instr_e)
             assert np.abs(seq.table - emb.table).max() <= 1e-10
+            # both tables come from one Kraus composition; the Choi link
+            # product is the independent check
+            link = choi_link_table(w, instr_a, instr_b, instr_e)
+            assert np.abs(seq.table - link).max() <= 1e-10
 
 
 def test_criterion_6_closure_termination(theorem_fuzz):

@@ -4,9 +4,10 @@ The fixture table has two Alice outcomes whose posteriors differ by 1e-7,
 so the default tolerance (1e-9) keeps them apart and --tol 1e-6 merges
 them; each subcommand's output shows which tolerance it ran at. Every
 backend builds its table at the tolerance the verdict runs at, and a
-malformed scalar field in a scenario file is a validation error, as is a
-mixture component without its order or weight, or a maximally mixed
-state wider than every instrument. A tolerance above every outcome's mass
+malformed scalar field in a scenario file is a validation error, as is an
+integer field holding a bool or a fraction, a mixture component without
+its order or weight, or a maximally mixed state wider than every
+instrument. A tolerance above every outcome's mass
 leaves no posterior pair to verify.
 """
 
@@ -18,6 +19,7 @@ import pytest
 import agreelab.cli as cli
 from agreelab import parse_records
 from agreelab.cli import main
+from conftest import SCENARIOS
 
 GAP = 1e-7
 
@@ -216,6 +218,7 @@ def test_classical_table_is_built_at_the_file_tolerance(tmp_path, capsys):
 
 
 MINIMAL_TABLE = {"backend": "table", "sizes": [1, 1, 1], "p": [1.0], "event": [0]}
+UNIFORM_TABLE = {"backend": "table", "sizes": [2, 2, 2], "p": [0.125] * 8, "event": [0]}
 MINIMAL_CLASSICAL = {
     "backend": "classical",
     "num_states": 2,
@@ -238,6 +241,7 @@ MIXED_QUBIT = {
     },
     "event": [0],
 }
+SWITCH = json.loads((SCENARIOS / "process_switch.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -254,6 +258,17 @@ MIXED_QUBIT = {
         (MIXED_QUBIT, "state", {"maximally_mixed": 0}),
         (MIXED_QUBIT, "state", {"maximally_mixed": 3}),
         (BLOCK_PRESET, "preset", dict(BLOCK_PRESET["preset"], state={"maximally_mixed": 5})),
+        # integer fields are never truncated: each of these once ran as the
+        # integer below it (K[0], K[1], sizes [2, 2, 2], ...)
+        (UNIFORM_TABLE, "event", [0.7]),
+        (UNIFORM_TABLE, "event", [True]),
+        (UNIFORM_TABLE, "sizes", [2.5, 2, 2]),
+        (MINIMAL_CLASSICAL, "num_states", 2.5),
+        (MINIMAL_CLASSICAL, "partition_a", [0, 0.5]),
+        (MINIMAL_CLASSICAL, "partition_b", [False, 0]),
+        (MINIMAL_CLASSICAL, "event", [0.5]),
+        (MIXED_QUBIT, "state", {"maximally_mixed": 2.5}),
+        (SWITCH, "lab_dims", dict(SWITCH["lab_dims"], A=[2.5, 2])),
     ],
     ids=[
         "tolerance",
@@ -267,6 +282,15 @@ MIXED_QUBIT = {
         "mixed-zero",
         "mixed-above-instruments",
         "preset-mixed-above-instruments",
+        "event-fraction",
+        "event-bool",
+        "sizes-fraction",
+        "num_states-fraction",
+        "partition-fraction",
+        "partition-bool",
+        "classical-event-fraction",
+        "mixed-fraction",
+        "lab_dims-fraction",
     ],
 )
 def test_malformed_scalar_is_a_validation_error(tmp_path, capsys, base, key, value):
@@ -275,6 +299,23 @@ def test_malformed_scalar_is_a_validation_error(tmp_path, capsys, base, key, val
     bad = _write(tmp_path, "bad.json", dict(base, **{key: value}))
     assert main(["verify", bad]) == cli.EXIT_VALIDATION
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, key, value, where",
+    [
+        (UNIFORM_TABLE, "event", [True], "event[0]"),
+        (UNIFORM_TABLE, "sizes", [2, 2.5, 2], "sizes[1]"),
+        (MINIMAL_CLASSICAL, "num_states", 2.5, "num_states"),
+        (MIXED_QUBIT, "state", {"maximally_mixed": True}, "state.maximally_mixed"),
+        (SWITCH, "lab_dims", dict(SWITCH["lab_dims"], E=[4, 1.5]), "lab_dims.E[1]"),
+    ],
+    ids=["event", "sizes", "num_states", "mixed", "lab_dims"],
+)
+def test_integer_field_error_names_the_field(tmp_path, capsys, base, key, value, where):
+    bad = _write(tmp_path, "bad.json", dict(base, **{key: value}))
+    assert main(["verify", bad]) == cli.EXIT_VALIDATION
+    assert f"{where}: must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -26,10 +26,12 @@ from agreelab import (
     violations,
 )
 from agreelab import matrices as mx
+from agreelab import process, quantum
 from agreelab.cli import EXIT_OK, main
 from agreelab.process import DENSE_W_BUDGET_BYTES, JOINT_IMAG_TOL
 from agreelab.randomgen import random_density, random_instrument, trial_rng
 from agreelab.scenario import complex_matrix_to_json, parse_scenario
+from conftest import choi_link_table
 
 
 class TestChoiStack:
@@ -105,6 +107,8 @@ class TestCrossBackend:
         w = embed_definite_order(scenario.state, ("A", "B", "E"))
         table = process_joint(w, scenario.instr_a, scenario.instr_b, scenario.instr_e)
         assert np.abs(table.table - joint_abe.table).max() < 1e-10
+        link = choi_link_table(w, scenario.instr_a, scenario.instr_b, scenario.instr_e)
+        assert np.abs(joint_abe.table - link).max() < 1e-10
 
         interleaved = QuantumScenario(
             scenario.state, scenario.instr_a, scenario.instr_b, scenario.instr_e,
@@ -112,7 +116,10 @@ class TestCrossBackend:
         )
         w2 = embed_definite_order(scenario.state, ("A", "E", "B"))
         table2 = process_joint(w2, scenario.instr_a, scenario.instr_b, scenario.instr_e)
-        assert np.abs(table2.table - sequential_joint(interleaved).table).max() < 1e-10
+        seq2 = sequential_joint(interleaved)
+        assert np.abs(table2.table - seq2.table).max() < 1e-10
+        link2 = choi_link_table(w2, scenario.instr_a, scenario.instr_b, scenario.instr_e)
+        assert np.abs(seq2.table - link2).max() < 1e-10
 
     def test_random_chains(self):
         for trial in range(20):
@@ -126,7 +133,11 @@ class TestCrossBackend:
             w = embed_definite_order(
                 state, ("A", "B", "E"), {"A": (d0, d1), "B": (d1, d2), "E": (d2, d3)}
             )
-            assert np.abs(seq.table - process_joint(w, ia, ib, ie).table).max() < 1e-10
+            emb = process_joint(w, ia, ib, ie)
+            assert np.abs(seq.table - emb.table).max() < 1e-10
+            assert np.abs(seq.table - choi_link_table(w, ia, ib, ie)).max() < 1e-10
+            # one composition serves both backends, so their bits agree too
+            assert emb.table.tobytes() == seq.table.tobytes()
 
 
 class TestProcessJoint:
@@ -158,6 +169,21 @@ class TestProcessJoint:
             else:
                 with pytest.raises(NotNormalized, match="imaginary parts"):
                     process_joint(bent, ident, ident, ident)
+
+    def test_factored_w_builds_no_choi_operator(self, monkeypatch):
+        rng = trial_rng(9)
+        state = random_density(2, rng)
+        orders = (("A", "B", "E"), ("E", "A", "B"))
+        w = mix_processes([embed_definite_order(state, o) for o in orders], [0.4, 0.6])
+        instrs = [random_instrument(2, 2, rng) for _ in range(3)]
+        link = choi_link_table(w, *instrs)
+
+        def refuse(instr):
+            raise AssertionError("a factored W built a Choi stack")
+
+        monkeypatch.setattr(quantum, "choi_stack", refuse)
+        monkeypatch.setattr(process, "choi_stack", refuse)
+        assert np.abs(process_joint(w, *instrs).table - link).max() < 1e-10
 
     def test_instrument_dims_must_match(self):
         w = embed_definite_order(DensityMatrix.maximally_mixed(2))

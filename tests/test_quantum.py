@@ -1,5 +1,7 @@
 """Instruments, sequential composition, and the block-rotation example."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from agreelab import (
     posterior_bob,
     sequential_joint,
     validate_instrument,
+    validate_joint,
     verify_agreement,
     violations,
 )
@@ -26,7 +29,7 @@ from agreelab import matrices as mx
 from agreelab.quantum import completeness_deviation
 from agreelab.randomgen import random_kraus_instrument, random_quantum_scenario, trial_rng
 
-from conftest import pure_state
+from conftest import pure_state, staged_table
 
 
 class TestDensityMatrix:
@@ -123,6 +126,48 @@ class TestSequentialJoint:
             r = rng.uniform(0.01, 1 - 2 * q - 0.01)
             joint = sequential_joint(block_rotation_scenario(theta, phi, q, r))
             assert joint.table.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 41, 42, 5005])
+    def test_bits_of_the_staged_apply_branch_loop(self, seed):
+        # tobytes compares every bit, the sign of a zero included; some draws
+        # have branches of unequal Kraus counts, whose stacks are padded
+        for trial in range(300):
+            scenario = random_quantum_scenario(trial_rng(seed, trial))
+            want = validate_joint(staged_table(scenario), scenario.space).table
+            assert sequential_joint(scenario).table.tobytes() == want.tobytes(), trial
+
+    def test_exact_zeros_and_padded_branches_keep_their_bits(self):
+        # coarse-grained measurements (branches of two and of one Kraus
+        # operator) on a basis state leave exact zeros in the table
+        p0, p1, p2 = (mx.projector(np.eye(3)[c]) for c in range(3))
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotated = np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=complex)
+        scenario = QuantumScenario(
+            pure_state([1, 0, 0]),
+            Instrument(((p0, p1), (p2,))),
+            Instrument.projective(rotated),
+            Instrument(((p2,), (p0, p1))),
+            order="AEB",
+        )
+        want = validate_joint(staged_table(scenario), scenario.space).table
+        got = sequential_joint(scenario).table
+        assert (got == 0).any()
+        assert got.tobytes() == want.tobytes()
+
+    def test_many_branches_stay_within_a_memory_bound(self):
+        # 32 branches per lab at d = 8: the 32768 final 8 x 8 states alone
+        # would take 32 MiB; the composition traces them a block at a time
+        rng = trial_rng(8)
+        instrs = [random_kraus_instrument(8, 8, 32, rng) for _ in range(3)]
+        scenario = QuantumScenario(DensityMatrix.maximally_mixed(8), *instrs)
+        tracemalloc.start()
+        try:
+            joint = sequential_joint(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert joint.table.shape == (32, 32, 32)
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_chain_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):

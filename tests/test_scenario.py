@@ -202,6 +202,7 @@ class TestCLI:
 
 
 GOLDEN_RECORDS = Path(__file__).resolve().parent / "golden" / "fixture_records.jsonl"
+GOLDEN_JOINTS = Path(__file__).resolve().parent / "golden" / "fixture_joint_records.jsonl"
 
 
 def assert_same_record(got, want, where="record"):
@@ -231,3 +232,14 @@ def test_fixture_records_match_golden_file(scenarios_dir, capsys):
     assert len(got) == len(want)
     for n, (g, w) in enumerate(zip(got, want)):
         assert_same_record(json.loads(g), json.loads(w), f"line {n + 1}")
+
+
+def test_fixture_joint_tables_match_golden_file_byte_for_byte(scenarios_dir, capsys):
+    """``joint <file> --format records`` for each fixture, in sorted order,
+    reproduces the committed tables byte for byte, so a change of arithmetic
+    that moves any bit of a fixture's table shows here."""
+    got = []
+    for path in sorted(scenarios_dir.glob("*.json")):
+        assert main(["joint", str(path), "--format", "records"]) == 0
+        got.append(capsys.readouterr().out)
+    assert "".join(got) == GOLDEN_JOINTS.read_text()

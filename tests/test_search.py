@@ -78,8 +78,8 @@ def test_bad_arguments_rejected():
 
 
 def test_process_fuzz_summary_is_pinned():
-    # recorded from the dense-W contraction; the factored one must reproduce
-    # every closure of the acceptance fuzz
+    # recorded from the dense-W contraction; the Kraus composition of each
+    # factored term must reproduce every closure of the acceptance fuzz
     summary = fuzz_search("process", 500, seed=42)
     assert summary.closures_examined == 1997
     assert summary.max_steps == 2
