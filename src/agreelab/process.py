@@ -45,6 +45,7 @@ reading an explicit W whose declared lab dims imply one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -89,7 +90,16 @@ def _normalize_lab_dims(lab_dims) -> LabDims:
         raise DimensionMismatch(f"expected dims for the three labs {LABS}")
     out = []
     for lab, pair in zip(LABS, dims):
-        d_in, d_out = (int(pair[0]), int(pair[1]))
+        # operator.index takes Python and numpy integers and refuses a
+        # fraction; a bool is an int to it, so bools are refused first
+        try:
+            if any(isinstance(d, bool) for d in pair):
+                raise TypeError
+            d_in, d_out = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise DimensionMismatch(
+                f"lab {lab} dims must be a pair of integers, got {pair!r}"
+            ) from None
         if d_in < 1 or d_out < 1:
             raise DimensionMismatch(f"lab {lab} dims must be positive, got {pair}")
         out.append((d_in, d_out))

@@ -11,11 +11,13 @@ for the full schema and examples.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -66,6 +68,16 @@ def _integer(x, where: str) -> int:
     return int(x)
 
 
+def _number(x, where: str) -> float:
+    """A real field: a JSON number; a bool or a numeric string is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValidationError(f"must be a number, got {x!r}", where)
+    try:
+        return float(x)
+    except OverflowError as e:
+        raise ValidationError(str(e), where) from None
+
+
 def _integers(values, where: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise ValidationError("must be a list of integers", where)
@@ -73,16 +85,32 @@ def _integers(values, where: str) -> tuple[int, ...]:
 
 
 def _complex_matrix(data, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"not a numeric array: {e}", where) from None
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    """Nested rows of [re, im] pairs as a complex matrix.
+
+    The structure is checked first, so the values are read in one flat pass
+    with no shape discovery; entries convert as numpy converts them. An
+    empty matrix or row fails a type check, which then sees no list.
+    """
+    if not (
+        isinstance(data, list)
+        and set(map(type, data)) == {list}
+        and len(set(map(len, data))) == 1
+        and set(map(type, chain.from_iterable(data))) == {list}
+        and set(map(len, chain.from_iterable(data))) == {2}
+    ):
         raise ValidationError(
-            f"complex matrices are nested rows of [re, im] pairs, got shape {arr.shape}",
+            "complex matrices are a nonempty list of equal-length rows of [re, im] pairs",
             where,
         )
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    rows, cols = len(data), len(data[0])
+    try:
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(data)), float, count=rows * cols * 2
+        )
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"not a numeric array: {e}", where) from None
+    arr = flat.reshape(rows, cols, 2)
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
@@ -157,19 +185,26 @@ class Scenario:
         return BACKENDS[self.backend].joint(self.source, self.tol)
 
 
-def _scalar(payload: dict, key: str, convert, default):
-    try:
-        return convert(payload.get(key, default))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ValidationError(str(e), key) from None
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario JSON, locating errors by line or field.
 
     No table is built here: ``Scenario.compute_joint`` builds it, at the
     tolerance the verdict runs at.
     """
+    # The decoded JSON is an acyclic tree, so a cyclic collection during the
+    # parse frees nothing and only re-walks its lists (tens of thousands for
+    # a large explicit W). The tree is freed by reference counting when
+    # _parse returns, before the collector's state is restored.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str) -> Scenario:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -181,10 +216,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(
             f"unknown backend {backend!r}, expected one of {tuple(BACKENDS)}", "backend"
         )
-    tol = _scalar(payload, "tolerance", float, DEFAULT_TOL)
+    tol = _number(payload.get("tolerance", DEFAULT_TOL), "tolerance")
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"must be finite and positive, got {tol}", "tolerance")
-    seed = _scalar(payload, "seed", int, 0)
+    seed = _integer(payload.get("seed", 0), "seed")
     try:
         source, event = BACKENDS[backend].parse(payload)
     except (ValidationError, ParseError):

@@ -309,13 +309,25 @@ def test_malformed_scalar_is_a_validation_error(tmp_path, capsys, base, key, val
         (MINIMAL_CLASSICAL, "num_states", 2.5, "num_states"),
         (MIXED_QUBIT, "state", {"maximally_mixed": True}, "state.maximally_mixed"),
         (SWITCH, "lab_dims", dict(SWITCH["lab_dims"], E=[4, 1.5]), "lab_dims.E[1]"),
+        # the seed once read 4.5 as 4 and true as 1
+        (UNIFORM_TABLE, "seed", 4.5, "seed"),
+        (UNIFORM_TABLE, "seed", True, "seed"),
     ],
-    ids=["event", "sizes", "num_states", "mixed", "lab_dims"],
+    ids=["event", "sizes", "num_states", "mixed", "lab_dims", "seed-fraction", "seed-bool"],
 )
 def test_integer_field_error_names_the_field(tmp_path, capsys, base, key, value, where):
     bad = _write(tmp_path, "bad.json", dict(base, **{key: value}))
     assert main(["verify", bad]) == cli.EXIT_VALIDATION
     assert f"{where}: must be an integer" in capsys.readouterr().err
+
+
+# true once read as tolerance 1.0, at which every posterior clusters
+# together and every verdict is vacuous; "1e-9" was read as a number
+@pytest.mark.parametrize("value", [True, "1e-9"], ids=["bool", "string"])
+def test_tolerance_must_be_a_json_number(tmp_path, capsys, value):
+    bad = _write(tmp_path, "bad.json", dict(UNIFORM_TABLE, tolerance=value))
+    assert main(["verify", bad]) == cli.EXIT_VALIDATION
+    assert "tolerance: must be a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,27 @@ class TestEmbedDefiniteOrder:
         with pytest.raises(DimensionMismatch):
             embed_definite_order(DensityMatrix.maximally_mixed(2), ("A", "A", "E"))
 
+    def test_fractional_and_bool_dims_rejected(self):
+        # once read as ((2, 2), (2, 2), (2, 1)) without a word
+        with pytest.raises(DimensionMismatch, match="lab A"):
+            embed_definite_order(
+                DensityMatrix.maximally_mixed(2),
+                ("A", "B", "E"),
+                {"A": (2, 2.7), "B": (2, 2), "E": (2, True)},
+            )
+        with pytest.raises(DimensionMismatch, match="lab E"):
+            embed_definite_order(
+                DensityMatrix.maximally_mixed(2),
+                ("A", "B", "E"),
+                {"A": (2, 2), "B": (2, 2), "E": (2, True)},
+            )
+
+    def test_numpy_integer_dims_accepted(self):
+        dims = {lab: (np.int64(2), np.int32(2)) for lab in "ABE"}
+        w = embed_definite_order(DensityMatrix.maximally_mixed(2), ("A", "B", "E"), dims)
+        assert w.lab_dims == ((2, 2), (2, 2), (2, 2))
+        assert all(type(d) is int for pair in w.lab_dims for d in pair)
+
 
 class TestCrossBackend:
     def test_block_example_both_orders(self, block_example):

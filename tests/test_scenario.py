@@ -1,5 +1,6 @@
 """Scenario parsing, run reports, record round trips, and the CLI contract."""
 
+import gc
 import json
 import math
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from agreelab import ParseError, ValidationError, parse_scenario, run_scenario
 from agreelab.cli import main
 from agreelab.report import emit_report, parse_records
-from agreelab.scenario import RunReport
+from agreelab.scenario import RunReport, _complex_matrix, complex_matrix_to_json
 
 
 MINIMAL_TABLE = {
@@ -74,6 +75,184 @@ class TestParseScenario:
         bad = dict(MINIMAL_TABLE, labels={"I": ["left"]})
         with pytest.raises(ValidationError, match="labels"):
             parse_scenario(json.dumps(bad))
+
+
+def _asarray_reference(data, where: str) -> np.ndarray:
+    """The converter as it was before the flat pass: numpy discovers the
+    nested shape, then the pair axis must be last and of length 2."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"not a numeric array: {e}", where) from None
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise ValidationError(f"bad shape {arr.shape}", where)
+    return arr[:, :, 0] + 1j * arr[:, :, 1]
+
+
+def _outcome(convert, data):
+    """What a converter makes of ``data``: the matrix's shape and bytes, or
+    the exception's type and the field it names."""
+    try:
+        m = convert(data, "w")
+    except Exception as e:
+        return type(e).__name__, getattr(e, "field", None)
+    assert m.dtype == np.complex128
+    return m.shape, m.tobytes()
+
+
+def _with_ints(rows: list, rng) -> list:
+    """``rows`` with about a third of its integral entries, -0.0 aside,
+    written as JSON ints."""
+
+    def entry(x: float):
+        signed_zero = x == 0 and math.copysign(1.0, x) < 0
+        return int(x) if x.is_integer() and not signed_zero and rng.random() < 0.3 else x
+
+    return [[[entry(x) for x in pair] for pair in row] for row in rows]
+
+
+class TestComplexMatrix:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_matrices_match_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 9, size=2)
+        m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 3.0, -7.0, 1e15])
+        mask = rng.random((rows, cols, 2)) < 0.4
+        parts = np.stack([m.real, m.imag], axis=-1)
+        parts[mask] = rng.choice(special, size=int(mask.sum()))
+        m = parts[..., 0] + 1j * parts[..., 1]
+        data = json.loads(json.dumps(_with_ints(complex_matrix_to_json(m), rng)))
+        assert _outcome(_complex_matrix, data) == _outcome(_asarray_reference, data)
+        # equal in value; a -0.0 real part beside a +0.0 imaginary part reads
+        # back as +0.0, on either path
+        np.testing.assert_array_equal(_complex_matrix(data, "w"), m)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[[-0.0, -0.0], [0, -0.0]], [[-0.0, 0], [0, 0]]]",
+            "[[[1, 2], [3, 4]]]",
+            "[[[5e-324, -1e308]], [[1e308, -5e-324]], [[2.2250738585072014e-308, 1e-320]]]",
+            "[[[NaN, 0], [0, NaN]]]",
+            '[[["1.5", null], [true, false]]]',
+        ],
+        ids=["signed-zeros", "ints", "extremes", "nan", "odd-leaves"],
+    )
+    def test_edge_entries_match_reference(self, text):
+        data = json.loads(text)
+        got = _outcome(_complex_matrix, data)
+        assert isinstance(got[0], tuple)
+        assert got == _outcome(_asarray_reference, data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[[1, 0], [0, 0]], [[1, 0]]],
+            [[[1, 0]], []],
+            [[[1]]],
+            [[[1, 0], [0]]],
+            [[[1, 0, 0]]],
+            [[[1, 0], [0, 0, 0]]],
+            [["ab"]],
+            [["12", "34"]],
+            [[{"re": 1, "im": 0}]],
+            [[[[1, 0], [0, 1]]]],
+            [[[[1], [0]]]],
+            [[[[1, 0], 0]]],
+            [[["x", 0]]],
+            [[[{"a": 1}, 0]]],
+            [[[10**400, 0]]],
+            [],
+            [[]],
+            [[[]]],
+            [[1, 0], [0, 1]],
+            5,
+            "w",
+            None,
+            {"re": [[1]]},
+        ],
+        ids=[
+            "ragged",
+            "empty-row",
+            "one-element-pair",
+            "one-element-pair-late",
+            "three-element-pair",
+            "three-element-pair-late",
+            "string-for-pair",
+            "strings-for-pairs",
+            "dict-for-pair",
+            "deeper",
+            "deeper-singletons",
+            "deeper-mixed",
+            "bad-string-entry",
+            "dict-entry",
+            "overflowing-int",
+            "empty",
+            "empty-rows",
+            "empty-pair",
+            "flat-rows",
+            "number",
+            "string",
+            "null",
+            "dict",
+        ],
+    )
+    def test_malformed_refused_as_before(self, data):
+        got = _outcome(_complex_matrix, data)
+        assert got == _outcome(_asarray_reference, data)
+        assert not isinstance(got[0], tuple)
+
+
+LARGE_W = json.dumps(
+    {
+        "backend": "process",
+        "lab_dims": {"A": [1, 1], "B": [1, 1], "E": [1, 1]},
+        "w": [[[1.0, 0.0]]],
+        "instruments": {lab: [[[[[1.0, 0.0]]]]] for lab in "ABE"},
+        "event": [0],
+    }
+)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (json.dumps(MINIMAL_TABLE), None),
+        ('{"backend": "table",\n  broken', ParseError),
+        (LARGE_W.replace("[[[1.0, 0.0]]]", "[[[1.0, 0.0]], []]", 1), ValidationError),
+    ],
+    ids=["good", "bad-json", "bad-matrix"],
+)
+def test_parse_leaves_collector_as_found(enabled, text, error):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            parse_scenario(text)
+        else:
+            with pytest.raises(error):
+                parse_scenario(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_cyclic_collection_during_parse(scenarios_dir):
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    text = (scenarios_dir / "process_switch.json").read_text()
+    gc.callbacks.append(count)
+    try:
+        parse_scenario(text)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
 
 
 class TestRunScenario:
