@@ -78,8 +78,8 @@ class TestParseScenario:
 
 
 def _asarray_reference(data, where: str) -> np.ndarray:
-    """The converter as it was before the flat pass: numpy discovers the
-    nested shape, then the pair axis must be last and of length 2."""
+    """The reference converter: numpy discovers the nested shape, then the
+    pair axis must be last and of length 2."""
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as e:
@@ -204,11 +204,12 @@ class TestComplexMatrix:
         assert not isinstance(got[0], tuple)
 
 
-LARGE_W = json.dumps(
+# a one-dimensional process whose W has a ragged second row
+RAGGED_W = json.dumps(
     {
         "backend": "process",
         "lab_dims": {"A": [1, 1], "B": [1, 1], "E": [1, 1]},
-        "w": [[[1.0, 0.0]]],
+        "w": [[[1.0, 0.0]], []],
         "instruments": {lab: [[[[[1.0, 0.0]]]]] for lab in "ABE"},
         "event": [0],
     }
@@ -221,7 +222,7 @@ LARGE_W = json.dumps(
     [
         (json.dumps(MINIMAL_TABLE), None),
         ('{"backend": "table",\n  broken', ParseError),
-        (LARGE_W.replace("[[[1.0, 0.0]]]", "[[[1.0, 0.0]], []]", 1), ValidationError),
+        (RAGGED_W, ValidationError),
     ],
     ids=["good", "bad-json", "bad-matrix"],
 )
