@@ -63,7 +63,6 @@ from .quantum import (
     Instrument,
     InstrumentDiagnostics,
     QuantumScenario,
-    apply_branch,
     block_rotation_scenario,
     choi_stack,
     closed_form_posteriors,

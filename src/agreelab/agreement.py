@@ -18,12 +18,13 @@ lies in A* x B* with positive mass, and in that case q_a must equal q_b;
 pair.
 
 ``ck_step`` and ``ck_closure`` follow that definition one posterior pair at
-a time and are the reference oracle. Every other reader builds one engine
-per (table, event, tol) and returns the same answers, bit for bit: it
-computes each axis's posteriors once, reads them out as plain Python
-numbers and clusters them once into a posterior partition.
-``is_common_knowledge`` and ``singular_disagreement_check`` close one or
-two pairs on it. ``verify_agreement`` sweeps every pair:
+a time and are the reference oracle. Every other reader shares one engine
+per (table, event, tol), kept on the table (``_engine``), and returns the
+same answers, bit for bit: the engine computes each axis's posteriors
+once, reads them out as plain Python numbers and clusters them once into a
+posterior partition. ``is_common_knowledge`` closes one pair on it and
+``singular_disagreement_check`` at most two. ``verify_agreement`` sweeps
+every pair:
 
 * each representative's level set is its own cluster whenever no two
   representatives lie within tol of each other, checked once per axis;
@@ -46,8 +47,9 @@ sets kept only where they are nonempty. It is a sequence of
 same code for every access, so each equals ``ck_closure``'s. ``violations``
 and the fuzz read the arrays and build none. The result also carries each
 axis's per-outcome ``posteriors`` and answers the singular check as
-``singular_ok`` from its own engine, so a scenario run or a fuzz trial
-builds one engine.
+``singular_ok`` from its engine, so a scenario run or a fuzz trial builds
+one engine; so does a caller that passes one table to ``verify_agreement``
+and then to ``singular_disagreement_check``.
 
 One tolerance ``tol`` plays three roles, all with the same default:
 
@@ -323,7 +325,7 @@ def is_common_knowledge(
     """
     _check_conditioning(p, "I", i)
     _check_conditioning(p, "J", j)
-    engine = _Engine(p, event, tol)
+    engine = _engine(p, event, tol)
     q_a = engine.parts[0].representative(i)
     q_b = engine.parts[1].representative(j)
     if q_a is None or q_b is None:
@@ -337,9 +339,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 class _Engine:
-    """What every closure on one (table, event) shares, computed once: both
-    posterior partitions, the pair marginal read row-wise from each side,
-    and each outcome's certainty threshold.
+    """What every closure on one (table, event, tol) shares, computed once:
+    both posterior partitions, the pair marginal read row-wise from each
+    side, and each outcome's certainty threshold. Built only by
+    ``_engine``, which keeps it on the table.
 
     ``certain`` tests some outcomes against one set in ``ck_step``'s order
     of summation, and ``step``, ``fixed_point`` and ``close`` iterate it.
@@ -453,9 +456,39 @@ class _Engine:
 
     def singular_ok(self) -> bool:
         """True when no positive-mass pair has common knowledge of
-        posteriors 1 versus 0, in either orientation."""
-        fixed_points = (self.fixed_point(q_a, q_b) for q_a, q_b in ((1.0, 0.0), (0.0, 1.0)))
-        return not any(self.weigh(a, b)[2] for a, b, _ in fixed_points)
+        posteriors 1 versus 0, in either orientation.
+
+        Each orientation's two level sets are looked up first, and the
+        orientation is skipped when either is empty. That is exact: a
+        closure step keeps a subset of each set, so an empty level set
+        stays empty at the fixed point, and common knowledge needs both
+        fixed-point sets nonempty; the skipped closure would have answered
+        no. Tables almost never attain posterior 1 on one axis and 0 on the
+        other, so almost no closure runs.
+        """
+        for q_a, q_b in ((1.0, 0.0), (0.0, 1.0)):
+            a, b = self.level_set(0, q_a), self.level_set(1, q_b)
+            if len(a) and len(b) and self.weigh(*self.close(a, b, *self.step(a, b))[:2])[2]:
+                return False
+        return True
+
+
+def _engine(p: JointDistribution, event: Event, tol: float) -> _Engine:
+    """The engine of (p, event, tol), the only place one is built.
+
+    ``p`` keeps the last engine built on it, with its (event, tol): an
+    equal key returns that engine, any other builds one and replaces it.
+    Key and engine are stored as one tuple in one assignment, so threads
+    sharing ``p`` at worst build an engine twice. The engine holds no
+    reference to ``p``, so it is freed with the table.
+    """
+    key = (event, tol)
+    memo = p._engine_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    engine = _Engine(p, event, tol)
+    object.__setattr__(p, "_engine_memo", (key, engine))
+    return engine
 
 
 _EMPTY = np.empty(0, dtype=np.intp)
@@ -575,7 +608,7 @@ def verify_agreement(
     other pairs iterate, from their first-step sets. An axis with no
     outcome of mass above tol attains no posterior, so its sweep is empty.
     """
-    engine = _Engine(p, event, tol)
+    engine = _engine(p, event, tol)
     index_a, starts_a, lengths_a = _runs(engine.parts[0].level_sets())
     index_b, starts_b, lengths_b = _runs(engine.parts[1].level_sets())
     if not (len(lengths_a) and len(lengths_b)):
@@ -614,9 +647,15 @@ def singular_disagreement_check(
     """True when no positive-mass pair has common knowledge of posteriors
     1 versus 0 (in either orientation). Always true for a well-defined
     joint table: certainty of the event on one side forces zero mass on
-    every outcome the other side would need. A sweep's result answers the
-    same from its own engine as ``SweepResult.singular_ok``."""
-    return _Engine(p, event, tol).singular_ok()
+    every outcome the other side would need.
+
+    It runs on the engine kept on ``p`` for (event, tol), so after
+    ``verify_agreement`` on the same arguments it builds no posterior
+    partition, pair marginal or threshold again; a sweep's result answers
+    the same from that engine as ``SweepResult.singular_ok``. A closure
+    runs only for an orientation that attains both level sets, posterior
+    1 on one axis and 0 on the other."""
+    return _engine(p, event, tol).singular_ok()
 
 
 @dataclass(frozen=True)

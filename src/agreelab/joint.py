@@ -15,7 +15,7 @@ Tables are dense numpy arrays. Two entry modes are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -112,14 +112,23 @@ class JointDistribution:
     """A validated, immutable joint probability table over I x J x K.
 
     Construct through :func:`validate_joint`; direct construction assumes
-    the table is already clamped and normalized.
+    the table is already clamped and normalized. The table is made read
+    only, and a view is copied first, so no writable base can change it.
     """
 
     space: OutcomeSpace
     table: np.ndarray
     tol: float = DEFAULT_TOL
+    # the agreement engine last built on this table, as ((event, tol),
+    # engine): key and engine are written as one tuple, so a concurrent
+    # reader never pairs a key with another key's engine
+    _engine_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the agreement engine kept on the table assumes its entries never
+        # change
+        if not self.table.flags.owndata:
+            object.__setattr__(self, "table", self.table.copy())
         try:
             self.table.setflags(write=False)
         except ValueError:

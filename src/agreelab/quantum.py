@@ -189,22 +189,6 @@ def _sandwich(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return k @ rho @ k.conj().swapaxes(-1, -2)
 
 
-def apply_branch(branch: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """Unnormalized post-measurement state sum_m K_m rho K_m^dag.
-
-    The trace of the result is the branch probability.
-    """
-    rho = mx.as_complex_matrix(rho, "state")
-    out = None
-    for k in branch:
-        k = mx.as_complex_matrix(k, "kraus operator")
-        if k.shape[1] != rho.shape[0] or rho.shape[0] != rho.shape[1]:
-            raise DimensionMismatch(f"kraus operator {k.shape} cannot act on state {rho.shape}")
-        term = _sandwich(k, rho)
-        out = term if out is None else out + term
-    return out
-
-
 def kraus_stack(instr: Instrument) -> tuple[np.ndarray, np.ndarray]:
     """The (branches, operators, d_out, d_in) array of an instrument's Kraus
     operators, zero padded to the longest branch, and each branch's count."""
@@ -222,8 +206,9 @@ _STATE_BLOCK_ENTRIES = 2**16
 
 def _branch_traces(states: np.ndarray, stacks: Sequence[tuple]) -> np.ndarray:
     """p[s, x, y, ...]: trace left on state s by branch x of the first Kraus
-    stack, then y of the next, and so on; each entry has the bits of a chain
-    of apply_branch calls (Kraus terms added in order, padding skipped)."""
+    stack, then y of the next, and so on; each entry has the bits of staging
+    the labs one at a time, each branch's K rho K^dag terms added in Kraus
+    order (padding skipped) and the last state traced with np.trace."""
     if not stacks:
         return np.trace(states, axis1=-2, axis2=-1).real
     (ops, counts), rest = stacks[0], stacks[1:]

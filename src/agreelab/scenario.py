@@ -78,6 +78,18 @@ def _number(x, where: str) -> float:
         raise ValidationError(str(e), where) from None
 
 
+def _numbers(values: list, where: str) -> np.ndarray:
+    """A list of real fields as a float array, in one conversion when every
+    entry is a JSON number (the type of a bool is bool, not int); otherwise
+    each entry goes through ``_number``, which names the first bad one."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:
+            pass
+    return np.array([_number(x, f"{where}[{n}]") for n, x in enumerate(values)])
+
+
 def _integers(values, where: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise ValidationError("must be a list of integers", where)
@@ -260,7 +272,7 @@ def _parse_table(payload: dict) -> tuple[tuple[np.ndarray, OutcomeSpace], Event]
     expected = space.size_i * space.size_j * space.size_k
     if not isinstance(flat, list) or len(flat) != expected:
         raise ValidationError(f"p must be a flat row-major list of {expected} reals", "p")
-    table = np.asarray(flat, dtype=float).reshape(space.sizes)
+    table = _numbers(flat, "p").reshape(space.sizes)
     return (table, space), _event_from(payload, space)
 
 
@@ -299,13 +311,11 @@ def _parse_quantum(payload: dict) -> tuple[QuantumScenario, Event]:
             raise ValidationError(f"unknown preset {name!r}", "preset.name")
         # the preset's instruments are four dimensional
         state = _state(preset["state"], "preset.state", 4) if "state" in preset else None
-        qs = block_rotation_scenario(
-            float(_require(preset, "theta", "preset")),
-            float(_require(preset, "phi", "preset")),
-            float(_require(preset, "q", "preset")),
-            float(_require(preset, "r", "preset")),
-            state,
+        theta, phi, q, r = (
+            _number(_require(preset, key, "preset"), f"preset.{key}")
+            for key in ("theta", "phi", "q", "r")
         )
+        qs = block_rotation_scenario(theta, phi, q, r, state)
         if "event" in payload:
             qs = replace(qs, event=_event_from(payload, qs.space))
         return qs, qs.event
@@ -342,7 +352,7 @@ def _parse_process(payload: dict) -> tuple[tuple[ProcessMatrix, tuple], Event]:
             for n, c in enumerate(comps):
                 at = f"construction.components[{n}]"
                 orders.append(tuple(_require(c, "order", at)))
-                weights.append(float(_require(c, "weight", at)))
+                weights.append(_number(_require(c, "weight", at), f"{at}.weight"))
             w = mix_processes([embed_definite_order(state, o) for o in orders], weights)
         else:
             raise ValidationError(f"unknown construction kind {kind!r}", "construction.kind")

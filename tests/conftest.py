@@ -1,10 +1,12 @@
 """Shared fixtures: the four-state ontic model, the block-rotation example,
 and brute-force oracles used to pin expected values independently of the
 library code paths under test, among them two references for the Kraus
-composition behind every definite-order table."""
+composition behind every definite-order table: the staged branch loop
+(``apply_branch``, ``staged_table``) and the Choi link product."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,12 +16,13 @@ import pytest
 from agreelab import (
     ClassicalModel,
     DensityMatrix,
-    apply_branch,
+    DimensionMismatch,
     block_rotation_scenario,
     choi_stack,
     embed_classical,
     sequential_joint,
 )
+from agreelab import matrices as mx
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -96,6 +99,20 @@ def enum_conditional(table: np.ndarray, t_axis: int, t_set, g_axis: int, g_set) 
 
 def pure_state(vec) -> DensityMatrix:
     return DensityMatrix.pure(np.asarray(vec, dtype=complex))
+
+
+def apply_branch(branch: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """Unnormalized post-measurement state sum_m K_m rho K_m^dag, the terms
+    added in Kraus order; its trace is the branch probability."""
+    rho = mx.as_complex_matrix(rho, "state")
+    out = None
+    for k in branch:
+        k = mx.as_complex_matrix(k, "kraus operator")
+        if k.shape[1] != rho.shape[0] or rho.shape[0] != rho.shape[1]:
+            raise DimensionMismatch(f"kraus operator {k.shape} cannot act on state {rho.shape}")
+        term = k @ rho @ k.conj().T
+        out = term if out is None else out + term
+    return out
 
 
 def staged_table(scenario) -> np.ndarray:

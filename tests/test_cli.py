@@ -330,6 +330,57 @@ def test_tolerance_must_be_a_json_number(tmp_path, capsys, value):
     assert "tolerance: must be a number" in capsys.readouterr().err
 
 
+# Each of these once verified with exit 0: table entries were read with
+# np.asarray(..., dtype=float), the preset angles and weights and a mixture
+# weight with float(...), so a bool read as 1.0 or 0.0 and a numeric string
+# as its number.
+HALF_TABLE = {"backend": "table", "sizes": [1, 1, 2], "p": [0.5, 0.5], "event": [0]}
+
+
+@pytest.mark.parametrize(
+    "p, where",
+    [
+        ([True, False], "p[0]"),
+        (["0.5", "0.5"], "p[0]"),
+        ([0.5, "0.5"], "p[1]"),
+        ([0.5, None], "p[1]"),
+    ],
+    ids=["bool", "string", "second-string", "null"],
+)
+def test_table_entries_must_be_json_numbers(tmp_path, capsys, p, where):
+    bad = _write(tmp_path, "bad.json", dict(HALF_TABLE, p=p))
+    assert main(["verify", bad]) == cli.EXIT_VALIDATION
+    assert f"{where}: must be a number" in capsys.readouterr().err
+
+
+def test_table_entries_keep_json_ints_and_locate_an_overflow(tmp_path, capsys):
+    ints = dict(HALF_TABLE, sizes=[1, 1, 1], p=[1])
+    assert main(["verify", _write(tmp_path, "ints.json", ints)]) == cli.EXIT_OK
+    # a JSON int too large for a float once escaped as an internal error
+    huge = dict(HALF_TABLE, p=[0.5, 10**400])
+    assert main(["verify", _write(tmp_path, "huge.json", huge)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "p[1]: " in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("key", ["theta", "phi", "q", "r"])
+@pytest.mark.parametrize("value", [True, "0.25"], ids=["bool", "string"])
+def test_preset_parameters_must_be_json_numbers(tmp_path, capsys, key, value):
+    preset = dict(BLOCK_PRESET["preset"], **{key: value})
+    bad = _write(tmp_path, "bad.json", dict(BLOCK_PRESET, preset=preset))
+    assert main(["verify", bad]) == cli.EXIT_VALIDATION
+    assert f"preset.{key}: must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+def test_mixture_weight_must_be_a_json_number(scenarios_dir, tmp_path, capsys, value):
+    payload = json.loads((scenarios_dir / "process_mixture.json").read_text())
+    payload["construction"]["components"][1]["weight"] = value
+    assert main(["verify", _write(tmp_path, "bad.json", payload)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "construction.components[1].weight: must be a number" in err
+
+
 @pytest.mark.parametrize(
     "base, at, where",
     [

@@ -7,11 +7,16 @@ reprs are compared too, so types and bits match), and
 its two oracle closures, and ``is_common_knowledge`` the oracle's A* x B*.
 The result's columns must agree with those reports, the readers of the
 columns (``violations``, ``fuzz_search``) must build no report, and each
-production reader must build one posterior partition per axis. The sweep's
-one-pass first step and its level sets without bisection are also checked
-at the float edges where they must fall back: a sum on its threshold, two
-summation orders on either side of it, and two representatives within tol.
+production reader must build one posterior partition per axis: readers of
+one (table, event, tol) share the engine kept on the table, and the
+singular check closes only an orientation whose level sets are both
+nonempty. The sweep's one-pass first step and its level sets without
+bisection are also checked at the float edges where they must fall back:
+a sum on its threshold, two summation orders on either side of it, and
+two representatives within tol.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -438,3 +443,121 @@ def test_one_posterior_partition_per_axis(monkeypatch, scenarios_dir):
     p, event = _trial_joint("table", trial_rng(2024, 3), 4)
     i, j = (int(np.argmax(p.axis_masses(axis))) for axis in "IJ")
     assert partitions(lambda: is_common_knowledge(p, event, i, j)) == ["I", "J"]
+
+
+def test_one_engine_per_table_event_and_tol(monkeypatch):
+    p, event = _trial_joint("table", trial_rng(2024, 3), 4)
+    engine = agreement._engine(p, event, 1e-9)
+    # an equal event built anew is the same key
+    twin = Event(event.space, frozenset(event.members))
+    assert agreement._engine(p, twin, 1e-9) is engine
+    built = []
+    real = _Engine.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(_Engine, "__init__", counted)
+    result = verify_agreement(p, event, 1e-9)
+    assert singular_disagreement_check(p, event, 1e-9) == result.singular_ok
+    i, j = (int(np.argmax(p.axis_masses(axis))) for axis in "IJ")
+    is_common_knowledge(p, event, i, j, 1e-9)
+    assert built == []
+    assert result._engine is engine
+
+
+def test_another_key_or_table_builds_another_engine():
+    p, event = _trial_joint("table", trial_rng(2024, 3), 4)
+    engine = agreement._engine(p, event, 1e-9)
+    other_event = Event(event.space, frozenset(range(event.space.size_k)) - event.members)
+    for other in (
+        agreement._engine(p, other_event, 1e-9),
+        agreement._engine(p, event, 1e-12),
+        agreement._engine(validate_joint(p.table, p.space), event, 1e-9),
+    ):
+        assert other is not engine
+    # the table keeps only its last engine: the first key builds anew
+    again = agreement._engine(p, event, 1e-9)
+    assert again is not engine and agreement._engine(p, event, 1e-9) is again
+
+
+def test_kept_engine_does_not_keep_its_table():
+    p, event = _trial_joint("table", trial_rng(2024, 3), 4)
+    assert verify_agreement(p, event, 1e-9).singular_ok
+    gone = weakref.ref(p)
+    del p
+    # no reference cycle: the table is freed at once, without a collection
+    assert gone() is None
+
+
+def certain_and_free_table(rng):
+    """Outcomes of each axis in three groups: 0, whose mass is all in the
+    event {0, 1} (posterior 1); 1, with none in it (posterior 0); and 2,
+    mixed. Group 0 of one axis shares no mass with group 1 of the other,
+    as a valid table must, so each axis attains posteriors 1 and 0."""
+    size_i, size_j = (int(x) for x in rng.integers(3, 8, size=2))
+    group_i = np.concatenate([[0, 1, 2], rng.integers(0, 3, size=size_i - 3)])[:, None]
+    group_j = np.concatenate([[0, 1, 2], rng.integers(0, 3, size=size_j - 3)])[None, :]
+    mass = rng.exponential(1.0, size=(size_i, size_j)) * (group_i + group_j != 1)
+    cond = rng.dirichlet(np.ones(3), size=mass.shape)
+    cond[(group_i == 0) | (group_j == 0), 2] = 0.0
+    cond[(group_i == 1) | (group_j == 1)] = (0.0, 0.0, 1.0)
+    table = mass[:, :, None] * cond / cond.sum(axis=2, keepdims=True)
+    return table / table.sum(), OutcomeSpace(size_i, size_j, 3)
+
+
+def test_singular_check_on_tables_attaining_certainty_both_ways(monkeypatch):
+    closed = []
+    real = _Engine.close
+
+    def counted(self, *args):
+        closed.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(_Engine, "close", counted)
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        table, space = certain_and_free_table(rng)
+        p = validate_joint(table, space)
+        event = Event(space, frozenset({0, 1}))
+        engine = agreement._engine(p, event, 1e-9)
+        assert all(len(engine.level_set(side, q)) for side in (0, 1) for q in (0.0, 1.0))
+        closed.clear()
+        assert singular_disagreement_check(p, event, 1e-9) == oracle_singular(p, event, 1e-9)
+        # both orientations attain both level sets, so both are closed
+        assert len(closed) == 2
+        assert_matches_oracle(p, event, 1e-9)
+    # a table without posterior 0 on either axis closes nothing
+    p, event = _trial_joint("table", trial_rng(2024, 3), 4)
+    assert all(0.0 not in attained_posteriors(p, event, axis, 1e-9) for axis in "IJ")
+    closed.clear()
+    assert singular_disagreement_check(p, event, 1e-9) == oracle_singular(p, event, 1e-9)
+    assert closed == []
+
+
+def test_singular_check_closes_the_signed_table_that_fails_it():
+    # the signed table of test_singular_check_fails_on_a_signed_table: row 0
+    # attains posterior 1 (or 0) and column 0 the other, and the closure
+    # keeps both, so the check fails in the orientation the event picks
+    space = OutcomeSpace(1, 2, 2)
+    signed = JointDistribution(space, np.array([[[0.0, 1.0], [1.0, -1.0]]]))
+    for members in ({0}, {1}):
+        event = Event(space, frozenset(members))
+        assert oracle_singular(signed, event, 1e-9) is False
+        assert agreement._engine(signed, event, 1e-9).singular_ok() is False
+        assert singular_disagreement_check(signed, event, 1e-9) is False
+
+
+def test_table_built_on_a_view_cannot_change_under_its_engine():
+    # a view's base stays writable after the view is frozen; writing it
+    # once changed the table and left the kept engine answering for the old
+    # entries
+    space = OutcomeSpace(1, 2, 2)
+    base = np.array([[[0.5, 0.0], [0.0, 0.5]]])
+    p = JointDistribution(space, base[:])
+    event = Event(space, frozenset({0}))
+    before = verify_agreement(p, event, 1e-9).posteriors
+    base[0] = base[0, ::-1].copy()
+    assert p.table.tolist() == [[[0.5, 0.0], [0.0, 0.5]]]
+    assert verify_agreement(p, event, 1e-9).posteriors == before == ((0.5,), (1.0, 0.0))

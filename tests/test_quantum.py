@@ -13,7 +13,6 @@ from agreelab import (
     NotNormalized,
     ParameterOutOfRange,
     QuantumScenario,
-    apply_branch,
     block_rotation_scenario,
     closed_form_posteriors,
     is_common_knowledge,
@@ -29,7 +28,7 @@ from agreelab import matrices as mx
 from agreelab.quantum import completeness_deviation
 from agreelab.randomgen import random_kraus_instrument, random_quantum_scenario, trial_rng
 
-from conftest import pure_state, staged_table
+from conftest import apply_branch, pure_state, staged_table
 
 
 class TestDensityMatrix:
