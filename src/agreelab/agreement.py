@@ -468,8 +468,10 @@ class _Engine:
         """
         for q_a, q_b in ((1.0, 0.0), (0.0, 1.0)):
             a, b = self.level_set(0, q_a), self.level_set(1, q_b)
-            if len(a) and len(b) and self.weigh(*self.close(a, b, *self.step(a, b))[:2])[2]:
-                return False
+            if len(a) and len(b):
+                a, b, _ = self.close(a, b, *self.step(a, b))
+                if self.weigh(a, b)[2]:
+                    return False
         return True
 
 
