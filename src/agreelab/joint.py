@@ -15,6 +15,7 @@ Tables are dense numpy arrays. Two entry modes are supported:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -40,6 +41,22 @@ def axis_position(axis: str) -> int:
     return AXES.index(axis)
 
 
+def _as_index(x, what: str) -> int:
+    """``x`` as an int: a Python or numpy integer, or a float with no
+    fractional part. A bool, a fractional number or a string is refused,
+    never truncated."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if not isinstance(x, (bool, np.bool_, float)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DimensionMismatch(f"{what} must be an integer, got {x!r}")
+
+
 def _check_labels(labels, size: int, axis: str) -> None:
     if labels is None:
         return
@@ -63,9 +80,11 @@ class OutcomeSpace:
     labels_k: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for axis, size in zip(AXES, self.sizes):
-            if int(size) < 1:
+        for axis, name in zip(AXES, ("size_i", "size_j", "size_k")):
+            size = _as_index(getattr(self, name), f"axis {axis} size")
+            if size < 1:
                 raise DimensionMismatch(f"axis {axis} must have size >= 1, got {size}")
+            object.__setattr__(self, name, size)
         _check_labels(self.labels_i, self.size_i, "I")
         _check_labels(self.labels_j, self.size_j, "J")
         _check_labels(self.labels_k, self.size_k, "K")
@@ -86,7 +105,7 @@ class Event:
     members: frozenset[int]
 
     def __post_init__(self):
-        members = frozenset(int(k) for k in self.members)
+        members = frozenset(_as_index(k, "event member") for k in self.members)
         object.__setattr__(self, "members", members)
         bad = [k for k in members if not 0 <= k < self.space.size_k]
         if bad:

@@ -150,7 +150,7 @@ class ProcessMatrix:
     def __init__(self, matrix: np.ndarray, lab_dims, validate: bool = True):
         self._set(_normalize_lab_dims(lab_dims), (), None)
         m = _as_process_matrix(matrix, self.lab_dims)
-        if validate:
+        if validate and not _certified(m, self.lab_dims):
             failure = _diagnose(m, self.lab_dims).failure
             if failure is not None:
                 raise ValidationError(f"process matrix {failure}")
@@ -437,6 +437,34 @@ def validate_process(matrix: np.ndarray, lab_dims) -> ProcessDiagnostics:
     """
     dims = _normalize_lab_dims(lab_dims)
     return _diagnose(_as_process_matrix(matrix, dims), dims)
+
+
+def _certified(m: np.ndarray, dims: LabDims) -> bool:
+    """True when ``m`` passes all four checks of :func:`validate_process`,
+    shown without an eigendecomposition.
+
+    Positivity is certified by one Cholesky factorization of
+    H + (PSD_TOL/2)·1, where H = (W + W†)/2 is the matrix whose smallest
+    eigenvalue :func:`validate_process` reports. The factorization exists
+    only when that eigenvalue is above −PSD_TOL/2, up to a round-off of
+    order n·eps·‖H‖ (below 1e-12 for every W within the dense budget), so a
+    certified W has its smallest eigenvalue well inside the −PSD_TOL bound.
+    False says only that the certificate failed: it may be one of the
+    three other checks, or an eigenvalue in (−PSD_TOL, −PSD_TOL/2], which
+    is valid. The caller then runs :func:`_diagnose`, whose eigenvalues
+    decide.
+    """
+    if mx.hermiticity_deviation(m) > mx.HERMITICITY_TOL:
+        return False
+    if abs(complex(np.trace(m)).real - math.prod(d_out for _, d_out in dims)) > PROCESS_TRACE_TOL:
+        return False
+    shifted = (m + mx.dagger(m)) / 2
+    shifted.flat[:: m.shape[0] + 1] += mx.PSD_TOL / 2
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return _validity_deviation(m, dims) <= VALIDITY_TOL
 
 
 def _diagnose(m: np.ndarray, dims: LabDims) -> ProcessDiagnostics:

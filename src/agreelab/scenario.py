@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -96,29 +97,46 @@ def _integers(values, where: str) -> tuple[int, ...]:
     return tuple(_integer(x, f"{where}[{n}]") for n, x in enumerate(values))
 
 
-def _complex_matrix(data, where: str) -> np.ndarray:
-    """Nested rows of [re, im] pairs as a complex matrix.
+@dataclass(frozen=True)
+class _FlatMatrix:
+    """A complex matrix read by :func:`_read_flat_w`: its JSON numbers in
+    file order (re, im of each entry, row by row) and its shape."""
 
-    The structure is checked first, so the values are read in one flat pass
-    with no shape discovery; entries convert as numpy converts them. An
-    empty matrix or row fails a type check, which then sees no list.
+    values: list
+    rows: int
+    cols: int
+
+
+def _complex_matrix(data, where: str) -> np.ndarray:
+    """Nested rows of [re, im] pairs, or a :class:`_FlatMatrix`, as a complex
+    matrix.
+
+    The structure is checked first, then that every entry is a JSON number
+    (not a bool, a string or null), so the values are read in one flat pass
+    with no shape discovery. An empty matrix or row fails a type check,
+    which then sees no list.
     """
-    if not (
-        isinstance(data, list)
-        and set(map(type, data)) == {list}
-        and len(set(map(len, data))) == 1
-        and set(map(type, chain.from_iterable(data))) == {list}
-        and set(map(len, chain.from_iterable(data))) == {2}
-    ):
-        raise ValidationError(
-            "complex matrices are a nonempty list of equal-length rows of [re, im] pairs",
-            where,
-        )
-    rows, cols = len(data), len(data[0])
+    if isinstance(data, _FlatMatrix):
+        rows, cols, values = data.rows, data.cols, data.values
+    else:
+        if not (
+            isinstance(data, list)
+            and set(map(type, data)) == {list}
+            and len(set(map(len, data))) == 1
+            and set(map(type, chain.from_iterable(data))) == {list}
+            and set(map(len, chain.from_iterable(data))) == {2}
+        ):
+            raise ValidationError(
+                "complex matrices are a nonempty list of equal-length rows of [re, im] pairs",
+                where,
+            )
+        rows, cols = len(data), len(data[0])
+        values = list(chain.from_iterable(chain.from_iterable(data)))
+        if not set(map(type, values)) <= {int, float}:
+            for x in values:
+                _number(x, where)
     try:
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(data)), float, count=rows * cols * 2
-        )
+        flat = np.fromiter(values, float, count=rows * cols * 2)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"not a numeric array: {e}", where) from None
     arr = flat.reshape(rows, cols, 2)
@@ -216,11 +234,72 @@ def parse_scenario(text: str) -> Scenario:
             gc.enable()
 
 
-def _parse(text: str) -> Scenario:
+# The top-level "w" written compactly: its value opens with "[[[".
+_COMPACT_W = re.compile(r'"w"\s*:\s*(?=\[\[\[)')
+# The bytes of JSON numbers and JSON whitespace.
+_NUMBER_BYTES = b"0123456789+-.eE \t\n\r"
+
+
+def _read_flat_w(text: str) -> dict | None:
+    """The scenario object of ``text`` with its top-level ``"w"`` read as a
+    :class:`_FlatMatrix`, or None to leave the whole text to ``json.loads``.
+
+    The literal after ``"w":`` up to the first ``]]]`` is taken when its
+    bytes, less number characters and whitespace, are exactly the brackets
+    and commas of a rows x cols matrix of [re, im] pairs. Its numbers are
+    then decoded in one ``json.loads`` of the literal without brackets:
+    each slot holds one JSON number, read by the same scanner and the same
+    ``float`` as in the nested parse, so the bits are the same. The rest of
+    the text is parsed with the literal replaced by an integer that occurs
+    nowhere else in the text (JSON numbers have no escapes), which must
+    come back as the top-level ``"w"``. Any other input returns None: an
+    indented or nested ``"w"``, a duplicate one, an entry that is not a
+    number, or any JSON error; the nested parse then reads it, and reports
+    what is wrong, exactly as it always has.
+    """
+    m = _COMPACT_W.search(text) if isinstance(text, str) else None
+    if m is None:
+        return None
+    start = m.end()
+    end = text.find("]]]", start) + 3
+    if end < 3 or not text[start:end].isascii():
+        return None
+    literal = text[start:end].encode()
+    skeleton = literal.translate(None, _NUMBER_BYTES)
+    pairs = skeleton.count(b"[,]")
+    cols = skeleton.count(b"[,]", 0, skeleton.find(b"]]") + 2)
+    if cols == 0 or pairs % cols:
+        return None
+    rows = pairs // cols
+    row = b"[" + b",".join([b"[,]"] * cols) + b"]"
+    if skeleton != b"[" + b",".join([row] * rows) + b"]":
+        return None
+    head, tail = text[:start], text[end:]
+    placeholder = "-9007199254740993"
+    while placeholder in head or placeholder in tail:
+        placeholder += "7"
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+        values = json.loads(b"[" + literal.translate(None, b"[]") + b"]")
+        payload = json.loads(head + placeholder + tail)
+    except (ValueError, RecursionError):
+        return None
+    if not (
+        isinstance(payload, dict)
+        and type(payload.get("w")) is int
+        and payload["w"] == int(placeholder)
+    ):
+        return None
+    payload["w"] = _FlatMatrix(values, rows, cols)
+    return payload
+
+
+def _parse(text: str) -> Scenario:
+    payload = _read_flat_w(text)
+    if payload is None:
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(payload, dict):
         raise ParseError("scenario must be a JSON object")
     backend = _require(payload, "backend", "")

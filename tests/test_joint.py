@@ -234,3 +234,34 @@ def test_label_validation():
 def test_event_outside_axis_rejected():
     with pytest.raises(DimensionMismatch):
         Event(OutcomeSpace(2, 2, 2), frozenset({5}))
+
+
+@pytest.mark.parametrize("member", [0.7, True, False, "1", None, np.bool_(True)])
+def test_event_refuses_non_integer_member(member):
+    """A member is never truncated: int(0.7) and int(True) would silently
+    make {0.7, True} the event {0, 1}."""
+    with pytest.raises(DimensionMismatch, match=rf"event member must be an integer, got {member!r}"):
+        Event(OutcomeSpace(2, 2, 2), frozenset({member}))
+
+
+def test_event_takes_numpy_and_integral_members_as_ints():
+    event = Event(OutcomeSpace(2, 2, 3), frozenset({np.int64(2), np.uint8(0), 1.0}))
+    assert event.sorted_members == (0, 1, 2)
+    assert all(type(k) is int for k in event.members)
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("size", [2.5, True, "2", None, float("inf")])
+def test_outcome_space_refuses_non_integer_size(axis, size):
+    sizes = [2, 2, 2]
+    sizes[axis] = size
+    name = "IJK"[axis]
+    with pytest.raises(DimensionMismatch, match=rf"^axis {name} size must be an integer, got "):
+        OutcomeSpace(*sizes)
+
+
+def test_outcome_space_keeps_sizes_as_ints():
+    space = OutcomeSpace(np.int64(2), 3.0, 4)
+    assert space.sizes == (2, 3, 4)
+    assert all(type(n) is int for n in space.sizes)
+    assert space == OutcomeSpace(2, 3, 4)

@@ -336,6 +336,94 @@ class TestValidateProcess:
         assert "L_V" in capsys.readouterr().err
 
 
+def _shifted_process(target: float):
+    """A valid-in-all-but-positivity W whose smallest eigenvalue is
+    ``target``: the affine step W + s (W - W0) from a definite-order W,
+    which has zero eigenvalues, away from the maximally mixed process W0.
+    Both are fixed by L_V and have the right trace, so the step keeps that."""
+    w = embed_definite_order(random_density(2, trial_rng(5)))
+    d = w.total_dim
+    w0 = np.eye(d) * w.output_dim_product / d
+    s = -target / (w.output_dim_product / d)
+    return w.matrix + s * (w.matrix - w0), w.lab_dims
+
+
+class TestCertificate:
+    """An explicit W is certified by one Cholesky factorization of
+    H + (PSD_TOL/2)·1; eigvalsh runs only when the certificate fails, and
+    then decides exactly as before."""
+
+    @pytest.mark.parametrize("factor", [-0.4, -0.7, -1.3])
+    def test_smallest_eigenvalue_near_the_bound(self, monkeypatch, factor):
+        m, dims = _shifted_process(factor * mx.PSD_TOL)
+        diag = validate_process(m, dims)
+        assert diag.min_eigenvalue == pytest.approx(factor * mx.PSD_TOL, rel=1e-3)
+        assert diag.hermiticity_deviation <= mx.HERMITICITY_TOL
+        assert diag.validity_deviation <= process.VALIDITY_TOL
+        certified = process._certified(m, dims)
+        assert certified is (factor == -0.4)
+        if certified:
+            # accepted without an eigendecomposition
+            def no_eigvalsh(*args):
+                raise AssertionError("eigvalsh ran on a certified W")
+
+            monkeypatch.setattr(mx, "min_eigenvalue", no_eigvalsh)
+            ProcessMatrix(m, dims)
+        elif factor == -0.7:
+            assert diag.passes
+            ProcessMatrix(m, dims)
+        else:
+            assert diag.failure.startswith("has eigenvalue")
+            with pytest.raises(ValidationError) as e:
+                ProcessMatrix(m, dims)
+            assert str(e.value) == f"process matrix {diag.failure}"
+
+    def test_switch_and_random_processes_are_certified(self, scenarios_dir):
+        w = parse_scenario((scenarios_dir / "process_switch.json").read_text()).source[0]
+        assert process._certified(w.matrix, w.lab_dims)
+        rng = trial_rng(7)
+        for dims in [((2, 2),) * 3, ((3, 2), (2, 3), (3, 2)), ((3, 3),) * 3]:
+            state = random_density(dims[0][0], rng)
+            for order in [("A", "B", "E"), ("E", "A", "B")]:
+                if dims[0] != dims[1] and order != ("A", "B", "E"):
+                    continue
+                w = embed_definite_order(state, order, dims)
+                assert process._certified(w.matrix, w.lab_dims)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_verdict_and_message_match_the_diagnostics(self, seed):
+        """Valid W, and W broken in each of the four checks: the constructor
+        accepts exactly what validate_process passes, and refuses with its
+        message."""
+        rng = trial_rng(100 + seed)
+        state = random_density(2, rng)
+        w = mix_processes(
+            [embed_definite_order(state, ("A", "B", "E")), embed_definite_order(state, ("B", "A", "E"))],
+            [0.25, 0.75],
+        )
+        m, dims = w.matrix, w.lab_dims
+        herm = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+        herm = (herm + herm.conj().T) / 2
+        loop, loop_dims = _causal_loop()
+        candidates = [
+            (m, dims),
+            (m + 1e-9 * rng.standard_normal(m.shape), dims),
+            (1.5 * m, dims),
+            (m + 1e-3 * herm, dims),
+            (_shifted_process(-1e-6)[0], dims),
+            (loop, loop_dims),
+        ]
+        for cand, cdims in candidates:
+            failure = validate_process(cand, cdims).failure
+            assert process._certified(cand, cdims) is (failure is None)
+            if failure is None:
+                ProcessMatrix(cand, cdims)
+            else:
+                with pytest.raises(ValidationError) as e:
+                    ProcessMatrix(cand, cdims)
+                assert str(e.value) == f"process matrix {failure}"
+
+
 class TestIndefiniteOrderFromFile:
     def test_switch_scenario_is_valid_and_agrees(self, scenarios_dir):
         s = parse_scenario((scenarios_dir / "process_switch.json").read_text())

@@ -129,21 +129,54 @@ class TestComplexMatrix:
         np.testing.assert_array_equal(_complex_matrix(data, "w"), m)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, accepted",
         [
-            "[[[-0.0, -0.0], [0, -0.0]], [[-0.0, 0], [0, 0]]]",
-            "[[[1, 2], [3, 4]]]",
-            "[[[5e-324, -1e308]], [[1e308, -5e-324]], [[2.2250738585072014e-308, 1e-320]]]",
-            "[[[NaN, 0], [0, NaN]]]",
-            '[[["1.5", null], [true, false]]]',
+            ("[[[-0.0, -0.0], [0, -0.0]], [[-0.0, 0], [0, 0]]]", True),
+            ("[[[1, 2], [3, 4]]]", True),
+            ("[[[5e-324, -1e308]], [[1e308, -5e-324]], [[2.2250738585072014e-308, 1e-320]]]", True),
+            ("[[[NaN, 0], [0, NaN]]]", True),
+            ('[[["1.5", null], [true, false]]]', False),
         ],
         ids=["signed-zeros", "ints", "extremes", "nan", "odd-leaves"],
     )
-    def test_edge_entries_match_reference(self, text):
+    def test_edge_entries_match_reference(self, text, accepted):
+        """Number entries convert as the reference converts them; a string,
+        a null or a bool, which the reference would coerce, is refused with
+        the matrix named."""
         data = json.loads(text)
         got = _outcome(_complex_matrix, data)
-        assert isinstance(got[0], tuple)
-        assert got == _outcome(_asarray_reference, data)
+        if accepted:
+            assert isinstance(got[0], tuple)
+            assert got == _outcome(_asarray_reference, data)
+        else:
+            assert got == ("ValidationError", "w")
+            with pytest.raises(ValidationError, match=r"^w: must be a number, got '1\.5'$"):
+                _complex_matrix(data, "w")
+
+    @pytest.mark.parametrize("leaf", ["true", "false", '"0.5"', "null"])
+    @pytest.mark.parametrize(
+        "where, template",
+        [
+            ("w", '{"backend": "process", "lab_dims": {"A": [1, 1], "B": [1, 1], "E": [1, 1]}, '
+             '"w": [[[LEAF, 0.0]]], "instruments": {"A": [[[[[1.0, 0.0]]]]], '
+             '"B": [[[[[1.0, 0.0]]]]], "E": [[[[[1.0, 0.0]]]]]}, "event": [0]}'),
+            ("instruments.B[0][0]", '{"backend": "quantum", "state": [[[1.0, 0.0]]], '
+             '"instruments": {"A": [[[[[1.0, 0.0]]]]], "B": [[[[[LEAF, 0.0]]]]], '
+             '"E": [[[[[1.0, 0.0]]]]]}, "event": [0]}'),
+            ("state", '{"backend": "quantum", "state": [[[1.0, LEAF]]], '
+             '"instruments": {"A": [[[[[1.0, 0.0]]]]], "B": [[[[[1.0, 0.0]]]]], '
+             '"E": [[[[[1.0, 0.0]]]]]}, "event": [0]}'),
+        ],
+        ids=["w", "kraus", "state"],
+    )
+    def test_odd_leaf_exits_3_naming_the_matrix(self, tmp_path, capsys, leaf, where, template):
+        path = tmp_path / "odd.json"
+        path.write_text(template.replace("LEAF", leaf))
+        with pytest.raises(ValidationError, match=r"must be a number") as e:
+            parse_scenario(path.read_text())
+        assert e.value.field == where
+        assert main(["verify", str(path)]) == 3
+        assert where in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data",
