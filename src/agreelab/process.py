@@ -26,8 +26,19 @@ Conventions, fixed once and used everywhere:
 This ordering is part of the scenario file contract; a mismatched
 convention is the dominant failure mode when importing external W
 matrices. :func:`validate_process` reports all four checks, and an
-explicit ``ProcessMatrix`` runs it at construction, raising
+explicit ``ProcessMatrix`` applies them at construction, raising
 :class:`ValidationError` that names the first failing check.
+
+Construction first tries a certificate that needs no eigendecomposition:
+the hermiticity and trace checks, one Cholesky factorization of
+H + (PSD_TOL/2)·1 with H = (W + W†)/2, and the L_V check. The shift is half
+the bound, which leaves PSD_TOL/2 of margin against the factorization's
+round-off, so a certified W is valid. A W whose smallest eigenvalue lies in
+(−PSD_TOL, −PSD_TOL/2] fails the certificate yet is valid; it, and every W
+that fails another check, goes on to the eigenvalues of
+:func:`validate_process`, which decide and word the verdict exactly as
+before. :func:`validate_process` and :class:`ProcessDiagnostics` always
+compute the eigenvalues, so their figures stay exact.
 
 A :class:`ProcessMatrix` is held in one of two forms. Constructed
 processes (:func:`embed_definite_order`, :func:`mix_processes`) are
@@ -130,9 +141,13 @@ class ProcessMatrix:
     A process matrix is held in one of two forms:
 
     * dense: ``ProcessMatrix(matrix, lab_dims)`` keeps an explicit W and
-      runs :func:`validate_process` on it, raising :class:`ValidationError`
-      that names the first failing check; ``validate=False`` skips these
-      checks (diagnostic probing of broken candidates). ``terms`` is empty.
+      checks it as :func:`validate_process` does, raising
+      :class:`ValidationError` that names the first failing check. A W
+      that passes the Cholesky certificate (see the module docstring) is
+      accepted without its eigenvalues; any other W gets the full
+      diagnostics, so the verdict and the message are those of the
+      eigenvalues. ``validate=False`` skips these checks (diagnostic
+      probing of broken candidates). ``terms`` is empty.
     * factored: :func:`embed_definite_order` and :func:`mix_processes` keep
       ``terms``, a convex sum of :class:`WiringTerm` circuits whose
       hermiticity and positivity hold factor-wise. Each term's wire chain
@@ -446,13 +461,15 @@ def _certified(m: np.ndarray, dims: LabDims) -> bool:
     Positivity is certified by one Cholesky factorization of
     H + (PSD_TOL/2)·1, where H = (W + W†)/2 is the matrix whose smallest
     eigenvalue :func:`validate_process` reports. The factorization exists
-    only when that eigenvalue is above −PSD_TOL/2, up to a round-off of
-    order n·eps·‖H‖ (below 1e-12 for every W within the dense budget), so a
-    certified W has its smallest eigenvalue well inside the −PSD_TOL bound.
-    False says only that the certificate failed: it may be one of the
-    three other checks, or an eigenvalue in (−PSD_TOL, −PSD_TOL/2], which
-    is valid. The caller then runs :func:`_diagnose`, whose eigenvalues
-    decide.
+    only when that eigenvalue is above −PSD_TOL/2, up to its round-off: it
+    is backward stable, so the error is a small multiple of eps·‖H‖, which
+    is at most 1.5e-14 for a positive W within the dense budget (its norm
+    is at most its trace, at most 64). That is far inside the margin of
+    PSD_TOL/2 = 5e-11, so a certified W has its smallest eigenvalue inside
+    the −PSD_TOL bound. False says only that the certificate failed: it
+    may be one of the three other checks, or an eigenvalue in
+    (−PSD_TOL, −PSD_TOL/2], which is valid. The caller then runs
+    :func:`_diagnose`, whose eigenvalues decide.
     """
     if mx.hermiticity_deviation(m) > mx.HERMITICITY_TOL:
         return False

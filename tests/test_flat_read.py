@@ -16,7 +16,8 @@ from agreelab.scenario import _complex_matrix, _read_flat_w, complex_matrix_to_j
 
 ZEROS = ["0", "0.0", "-0.0", "0e0", "-0E-5", "0.000", "-0"]
 NUMBERS = ZEROS + ["1", "-3", "1.0", "0.5", "2.5e-3", "-1E+2", "5e-324", "1e308", "-1e308"]
-# leaves the flat read must hand to the nested parse, each for its own reason
+# leaves that are not JSON numbers, or overflow a float: both parses must
+# treat them alike
 ODD = ["true", "false", "null", '"0.5"', "NaN", "Infinity", "-Infinity", "1e400", "01", "+1",
        ".5", "1.", "", "1 2", "[1]", "-", "{}", "1e", "0x1", "1_0"]
 
