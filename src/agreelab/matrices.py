@@ -34,10 +34,14 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return m.shape[0] == m.shape[1] and hermiticity_deviation(m) <= tol
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†)/2, a new array that is exactly hermitian."""
+    return (m + dagger(m)) / 2
+
+
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of the hermitian part of ``m``."""
-    h = (m + dagger(m)) / 2
-    return float(np.linalg.eigvalsh(h)[0])
+    return float(np.linalg.eigvalsh(hermitian_part(m))[0])
 
 
 def bell_vector(dim: int) -> np.ndarray:

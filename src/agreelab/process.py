@@ -473,9 +473,9 @@ def _certified(m: np.ndarray, dims: LabDims) -> bool:
     """
     if mx.hermiticity_deviation(m) > mx.HERMITICITY_TOL:
         return False
-    if abs(complex(np.trace(m)).real - math.prod(d_out for _, d_out in dims)) > PROCESS_TRACE_TOL:
+    if _trace_deviation(m, dims) > PROCESS_TRACE_TOL:
         return False
-    shifted = (m + mx.dagger(m)) / 2
+    shifted = mx.hermitian_part(m)
     shifted.flat[:: m.shape[0] + 1] += mx.PSD_TOL / 2
     try:
         np.linalg.cholesky(shifted)
@@ -487,10 +487,14 @@ def _certified(m: np.ndarray, dims: LabDims) -> bool:
 def _diagnose(m: np.ndarray, dims: LabDims) -> ProcessDiagnostics:
     """:func:`validate_process` on a matrix already checked by
     :func:`_as_process_matrix` against normalized ``dims``."""
-    out_product = math.prod(d_out for _, d_out in dims)
     return ProcessDiagnostics(
         mx.hermiticity_deviation(m),
         mx.min_eigenvalue(m),
-        abs(complex(np.trace(m)).real - out_product),
+        _trace_deviation(m, dims),
         _validity_deviation(m, dims),
     )
+
+
+def _trace_deviation(m: np.ndarray, dims: LabDims) -> float:
+    """|tr W - prod d_out|."""
+    return abs(complex(np.trace(m)).real - math.prod(d_out for _, d_out in dims))

@@ -262,10 +262,11 @@ def _read_flat_w(text: str) -> dict | None:
         return None
     start = m.end()
     end = text.find("]]]", start) + 3
-    if end < 3 or not text[start:end].isascii():
+    literal = text[start:end]
+    if end < 3 or not literal.isascii():
         return None
-    literal = text[start:end].encode()
-    skeleton = literal.translate(None, _NUMBER_BYTES)
+    raw = literal.encode()
+    skeleton = raw.translate(None, _NUMBER_BYTES)
     pairs = skeleton.count(b"[,]")
     cols = skeleton.count(b"[,]", 0, skeleton.find(b"]]") + 2)
     if cols == 0 or pairs % cols:
@@ -279,7 +280,7 @@ def _read_flat_w(text: str) -> dict | None:
     while placeholder in head or placeholder in tail:
         placeholder += "7"
     try:
-        values = json.loads(b"[" + literal.translate(None, b"[]") + b"]")
+        values = json.loads(b"[" + raw.translate(None, b"[]") + b"]")
         payload = json.loads(head + placeholder + tail)
     except (ValueError, RecursionError):
         return None
