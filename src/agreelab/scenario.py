@@ -113,8 +113,9 @@ def _complex_matrix(data, where: str) -> np.ndarray:
 
     The structure is checked first, then that every entry is a JSON number
     (not a bool, a string or null), so the values are read in one flat pass
-    with no shape discovery. An empty matrix or row fails a type check,
-    which then sees no list.
+    with no shape discovery; an integer too large for a float raises
+    OverflowError, which the scenario parser reports against the backend.
+    An empty matrix or row fails a type check, which then sees no list.
     """
     if isinstance(data, _FlatMatrix):
         rows, cols, values = data.rows, data.cols, data.values
@@ -135,11 +136,7 @@ def _complex_matrix(data, where: str) -> np.ndarray:
         if not set(map(type, values)) <= {int, float}:
             for x in values:
                 _number(x, where)
-    try:
-        flat = np.fromiter(values, float, count=rows * cols * 2)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"not a numeric array: {e}", where) from None
-    arr = flat.reshape(rows, cols, 2)
+    arr = np.fromiter(values, float, count=rows * cols * 2).reshape(rows, cols, 2)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
