@@ -41,7 +41,7 @@ def axis_position(axis: str) -> int:
     return AXES.index(axis)
 
 
-def _as_index(x, what: str) -> int:
+def as_index(x, what: str) -> int:
     """``x`` as an int: a Python or numpy integer, or a float with no
     fractional part. A bool, a fractional number or a string is refused,
     never truncated."""
@@ -81,7 +81,7 @@ class OutcomeSpace:
 
     def __post_init__(self):
         for axis, name in zip(AXES, ("size_i", "size_j", "size_k")):
-            size = _as_index(getattr(self, name), f"axis {axis} size")
+            size = as_index(getattr(self, name), f"axis {axis} size")
             if size < 1:
                 raise DimensionMismatch(f"axis {axis} must have size >= 1, got {size}")
             object.__setattr__(self, name, size)
@@ -105,7 +105,7 @@ class Event:
     members: frozenset[int]
 
     def __post_init__(self):
-        members = frozenset(_as_index(k, "event member") for k in self.members)
+        members = frozenset(as_index(k, "event member") for k in self.members)
         object.__setattr__(self, "members", members)
         bad = [k for k in members if not 0 <= k < self.space.size_k]
         if bad:

@@ -25,12 +25,13 @@ import numpy as np
 
 from .agreement import CKReport, verify_agreement
 from .classical import ClassicalModel, embed_classical
-from .errors import AgreeLabError, ParseError, ValidationError
+from .errors import AgreeLabError, DimensionMismatch, ParseError, ValidationError
 from .joint import (
     DEFAULT_TOL,
     Event,
     JointDistribution,
     OutcomeSpace,
+    as_index,
     validate_joint,
 )
 from .process import (
@@ -63,10 +64,12 @@ def _require(payload: dict, key: str, where: str):
 
 
 def _integer(x, where: str) -> int:
-    """An integer field: a bool or a fractional number is refused, not truncated."""
-    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
-        raise ValidationError(f"must be an integer, got {x!r}", where)
-    return int(x)
+    """An integer field, by the rule of :func:`joint.as_index`: a bool or a
+    fractional number is refused, not truncated."""
+    try:
+        return as_index(x, where)
+    except DimensionMismatch:
+        raise ValidationError(f"must be an integer, got {x!r}", where) from None
 
 
 def _number(x, where: str) -> float:
@@ -233,8 +236,12 @@ def parse_scenario(text: str) -> Scenario:
 
 # The top-level "w" written compactly: its value opens with "[[[".
 _COMPACT_W = re.compile(r'"w"\s*:\s*(?=\[\[\[)')
-# The bytes of JSON numbers and JSON whitespace.
-_NUMBER_BYTES = b"0123456789+-.eE \t\n\r"
+# JSON whitespace deleted and the bytes of JSON numbers marked as "0", so
+# that a number beside a bracket is seen, and then deleted with the marks.
+_MARK_NUMBERS = bytes.maketrans(b"123456789+-.eE", b"0" * 14)
+_WHITESPACE = b" \t\n\r"
+# Brackets as spaces: a number token beside a bracket stays a token of its own.
+_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
 def _read_flat_w(text: str) -> dict | None:
@@ -243,9 +250,11 @@ def _read_flat_w(text: str) -> dict | None:
 
     The literal after ``"w":`` up to the first ``]]]`` is taken when its
     bytes, less number characters and whitespace, are exactly the brackets
-    and commas of a rows x cols matrix of [re, im] pairs. Its numbers are
-    then decoded in one ``json.loads`` of the literal without brackets:
-    each slot holds one JSON number, read by the same scanner and the same
+    and commas of a rows x cols matrix of [re, im] pairs, and no number
+    character follows a ``]`` or precedes a ``[``, so that every number
+    character sits in a slot. Its numbers are then decoded in one
+    ``json.loads`` of the literal with its brackets as spaces: each slot
+    must hold one JSON number, read by the same scanner and the same
     ``float`` as in the nested parse, so the bits are the same. The rest of
     the text is parsed with the literal replaced by an integer that occurs
     nowhere else in the text (JSON numbers have no escapes), which must
@@ -263,7 +272,10 @@ def _read_flat_w(text: str) -> dict | None:
     if end < 3 or not literal.isascii():
         return None
     raw = literal.encode()
-    skeleton = raw.translate(None, _NUMBER_BYTES)
+    marked = raw.translate(_MARK_NUMBERS, _WHITESPACE)
+    if b"]0" in marked or b"0[" in marked:
+        return None
+    skeleton = marked.translate(None, b"0")
     pairs = skeleton.count(b"[,]")
     cols = skeleton.count(b"[,]", 0, skeleton.find(b"]]") + 2)
     if cols == 0 or pairs % cols:
@@ -277,7 +289,7 @@ def _read_flat_w(text: str) -> dict | None:
     while placeholder in head or placeholder in tail:
         placeholder += "7"
     try:
-        values = json.loads(b"[" + raw.translate(None, b"[]") + b"]")
+        values = json.loads(b"[" + raw.translate(_BRACKETS_AS_SPACES) + b"]")
         payload = json.loads(head + placeholder + tail)
     except (ValueError, RecursionError):
         return None

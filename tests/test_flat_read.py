@@ -71,17 +71,37 @@ def documents(draw):
                     draw(st.sampled_from(ZEROS))] for c in range(cols)] for r in range(rows)]
     else:
         tokens = [[[draw(number), draw(number)] for _ in range(cols)] for _ in range(rows)]
+    def slot():
+        return draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(st.integers(0, 1))
+
     if draw(st.integers(0, 4)) == 0:
-        r, c, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(st.integers(0, 1))
+        r, c, k = slot()
         tokens[r][c][k] = draw(st.sampled_from(ODD))
+    # a number moved out of its slot to beside a bracket: the count of
+    # numbers still fits the shape, and so does the bracket skeleton
+    stray = draw(st.integers(0, 4)) == 0
+    if stray:
+        r, c, k = slot()
+        moved, tokens[r][c][k] = tokens[r][c][k], "@"
     style = draw(st.sampled_from([None, None, (None, None), (None, None), (None, (",", ":")),
                                   (0, None), (2, (",", ": "))]))
+    literal = _literal(tokens, style, draw)
+    if stray:
+        at = literal.index("@")
+        literal = literal.replace("@", "")
+        if draw(st.booleans()):
+            # just outside the slot's own pair
+            i = literal.rindex("[", 0, at) if k == 0 else literal.index("]", at) + 1
+        else:
+            i = draw(st.sampled_from([i for i, ch in enumerate(literal) if ch in "[]"]))
+            i += draw(st.integers(0, 1))
+        literal = literal[:i] + moved + literal[i:]
     items = [
         ("backend", '"process"'),
         ("lab_dims", json.dumps({"A": [d, 1], "B": [1, 1], "E": [1, 1]})),
         ("instruments", json.dumps(_instruments(d))),
         ("event", "[0]"),
-        ("w", _literal(tokens, style, draw)),
+        ("w", literal),
     ]
     compact = [[["1.0", "0.0"]]]
     decoys = {
@@ -132,6 +152,10 @@ def _matrix_outcome(data):
 @example('{"w": [[[1, 0]]]')
 @example('{"w": [[[1, 0]]]5}')
 @example('{"w": [[[1, 0]]], "x": -9007199254740993}')
+@example('{"w": [[[1,2]5,[3,4]]]}')
+@example('{"w": [[[1,]2,[3,4]]]}')
+@example('{"w": [[[0.5,0.]0,[0,0]]]}')
+@example('{"w": [[1[,2],[3,4]]]}')
 def test_flat_read_matches_nested_parse(text):
     assert _outcome(text, flat=True) == _outcome(text, flat=False)
     payload = _read_flat_w(text)
