@@ -240,8 +240,17 @@ _COMPACT_W = re.compile(r'"w"\s*:\s*(?=\[\[\[)')
 # that a number beside a bracket is seen, and then deleted with the marks.
 _MARK_NUMBERS = bytes.maketrans(b"123456789+-.eE", b"0" * 14)
 _WHITESPACE = b" \t\n\r"
-# Brackets as spaces: a number token beside a bracket stays a token of its own.
-_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _number_beside_bracket(marked: bytes) -> bool:
+    """Whether a number mark in ``marked`` follows a ``]`` or precedes a
+    ``[``: one vectorized pass, where two substring searches of a literal
+    that is half marks would each take several times as long."""
+    a = np.frombuffer(marked, np.uint8)
+    number = a == ord("0")
+    return bool(
+        (number[1:] & (a[:-1] == ord("]"))).any() or (number[:-1] & (a[1:] == ord("["))).any()
+    )
 
 
 def _read_flat_w(text: str) -> dict | None:
@@ -253,9 +262,9 @@ def _read_flat_w(text: str) -> dict | None:
     and commas of a rows x cols matrix of [re, im] pairs, and no number
     character follows a ``]`` or precedes a ``[``, so that every number
     character sits in a slot. Its numbers are then decoded in one
-    ``json.loads`` of the literal with its brackets as spaces: each slot
-    must hold one JSON number, read by the same scanner and the same
-    ``float`` as in the nested parse, so the bits are the same. The rest of
+    ``json.loads`` of the literal without brackets: each slot must hold
+    one JSON number, read by the same scanner and the same ``float`` as in
+    the nested parse, so the bits are the same. The rest of
     the text is parsed with the literal replaced by an integer that occurs
     nowhere else in the text (JSON numbers have no escapes), which must
     come back as the top-level ``"w"``. Any other input returns None: an
@@ -273,7 +282,7 @@ def _read_flat_w(text: str) -> dict | None:
         return None
     raw = literal.encode()
     marked = raw.translate(_MARK_NUMBERS, _WHITESPACE)
-    if b"]0" in marked or b"0[" in marked:
+    if _number_beside_bracket(marked):
         return None
     skeleton = marked.translate(None, b"0")
     pairs = skeleton.count(b"[,]")
@@ -289,7 +298,7 @@ def _read_flat_w(text: str) -> dict | None:
     while placeholder in head or placeholder in tail:
         placeholder += "7"
     try:
-        values = json.loads(b"[" + raw.translate(_BRACKETS_AS_SPACES) + b"]")
+        values = json.loads(b"[" + raw.translate(None, b"[]") + b"]")
         payload = json.loads(head + placeholder + tail)
     except (ValueError, RecursionError):
         return None
