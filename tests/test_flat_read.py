@@ -71,6 +71,7 @@ def documents(draw):
                     draw(st.sampled_from(ZEROS))] for c in range(cols)] for r in range(rows)]
     else:
         tokens = [[[draw(number), draw(number)] for _ in range(cols)] for _ in range(rows)]
+
     def slot():
         return draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(st.integers(0, 1))
 
