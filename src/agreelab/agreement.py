@@ -51,6 +51,11 @@ axis's per-outcome ``posteriors`` and answers the singular check as
 one engine; so does a caller that passes one table to ``verify_agreement``
 and then to ``singular_disagreement_check``.
 
+``dynamic_protocol`` is the dynamic form (Geanakoplos and Polemarchakis,
+J. Econ. Theory 28:192, 1982): in each round each agent, through the same
+code, announces a posterior and cuts its public set to the outcomes that
+would announce it, all outcomes in one gather and one row sum.
+
 One tolerance ``tol`` plays three roles, all with the same default:
 
 * mass cutoff: outcomes with mass at most tol have no posterior and never
@@ -83,6 +88,7 @@ from .joint import (
     JointDistribution,
     _axis_event_masses,
     _check_conditioning,
+    _check_index,
 )
 
 
@@ -694,72 +700,51 @@ def dynamic_protocol(
     """Alternating public posterior announcements until they stabilize.
 
     Alice observed i, Bob observed j. Publicly, Alice's outcome is known to
-    lie in a set S_A and Bob's in S_B, initially full. Each round Alice
-    announces her posterior given (i, S_B); S_A shrinks to the outcomes
-    consistent with that announcement; Bob announces given (j, S_A) and S_B
-    shrinks likewise. The protocol stops at the first round that changes
-    neither set; both final announcements then equal the conditional
-    probability of the event on the rectangle S_A x S_B.
+    lie in a set S_A and Bob's in S_B, initially full. Each round runs one
+    step per agent, Alice's on the rows of the pair marginal, then Bob's on
+    those of its transpose, through the same code: the agent announces its
+    posterior given its observation and the other's set, and its own set
+    shrinks to the outcomes whose posterior lies within tol of it. The
+    protocol stops at the first round that changes neither set; both final
+    announcements then equal the event's probability on S_A x S_B.
+
+    For tol >= 0 it stops within |I| + |J| - 1 rounds, within the default
+    budget of |I| |J|: an observed outcome's posterior is its announcement,
+    so it stays, and each round that changes a set removes an outcome.
     """
-    ks = list(event.sorted_members)
+    _check_index(p, "I", i)
+    _check_index(p, "J", j)
     m2 = p.table.sum(axis=2)
-    e2 = p.table[:, :, ks].sum(axis=2) if ks else np.zeros_like(m2)
+    e2 = p.table[:, :, list(event.sorted_members)].sum(axis=2)
     if m2[i, :].sum() <= tol or m2[:, j].sum() <= tol:
         raise ZeroProbabilityConditioning("observed outcomes need positive prior mass")
     if max_rounds is None:
         max_rounds = p.space.size_i * p.space.size_j
-
-    def posterior_rows(rows_matrix, event_matrix, x, other):
-        denom = rows_matrix[x, other].sum()
-        if denom <= tol:
-            raise ZeroProbabilityConditioning(
-                "announcements eliminated every outcome consistent with an observation"
-            )
-        return event_matrix[x, other].sum() / denom
-
-    s_a = list(range(p.space.size_i))
-    s_b = list(range(p.space.size_j))
+    agents = ((m2, e2, i), (np.ascontiguousarray(m2.T), np.ascontiguousarray(e2.T), j))
+    sets = [np.arange(p.space.size_i), np.arange(p.space.size_j)]
     rounds: list[AnnouncementRound] = []
     for _ in range(max_rounds):
-        changed = False
-        announce_a = posterior_rows(m2, e2, i, s_b)
-        new_a = [
-            x
-            for x in s_a
-            if m2[x, s_b].sum() > tol
-            and abs(posterior_rows(m2, e2, x, s_b) - announce_a) <= tol
-        ]
-        if new_a != s_a:
-            s_a = new_a
-            changed = True
-        announce_b = posterior_rows(m2.T, e2.T, j, s_a)
-        new_b = [
-            y
-            for y in s_b
-            if m2.T[y, s_a].sum() > tol
-            and abs(posterior_rows(m2.T, e2.T, y, s_a) - announce_b) <= tol
-        ]
-        if new_b != s_b:
-            s_b = new_b
-            changed = True
-        rounds.append(
-            AnnouncementRound(
-                float(announce_a), float(announce_b), tuple(s_a), tuple(s_b)
-            )
-        )
-        if not changed:
-            rect_mass = m2[np.ix_(s_a, s_b)].sum()
-            rect = e2[np.ix_(s_a, s_b)].sum() / rect_mass
-            return ProtocolTranscript(
-                observed=(i, j),
-                rounds=tuple(rounds),
-                final_alice=float(announce_a),
-                final_bob=float(announce_b),
-                rectangle_posterior=float(rect),
-            )
-    raise NoConvergence(
-        f"protocol did not stabilize within {max_rounds} rounds"
-    )
+        sizes = [len(s) for s in sets]
+        announced = []
+        for side, (masses, hits, x) in enumerate(agents):
+            # contiguous rows, each summed as a 1-D gather of it would be
+            mass = np.take(masses, sets[1 - side], axis=1).sum(axis=1)
+            seen = mass > tol
+            if not seen[x]:
+                raise ZeroProbabilityConditioning(
+                    "announcements eliminated every outcome consistent with an observation"
+                )
+            inside = np.take(hits, sets[1 - side], axis=1).sum(axis=1)
+            posterior = np.divide(inside, mass, out=np.zeros_like(inside), where=seen)
+            keep = seen & (np.abs(posterior - posterior[x]) <= tol)
+            sets[side] = sets[side][keep[sets[side]]]
+            announced.append(float(posterior[x]))
+        rounds.append(AnnouncementRound(*announced, *(tuple(s.tolist()) for s in sets)))
+        if sizes == [len(s) for s in sets]:
+            rect = np.ix_(*sets)
+            rectangle = float(e2[rect].sum() / m2[rect].sum())
+            return ProtocolTranscript((i, j), tuple(rounds), *announced, rectangle)
+    raise NoConvergence(f"protocol did not stabilize within {max_rounds} rounds")
 
 
 def as_effective_state_space(p: JointDistribution, event: Event) -> ClassicalModel:

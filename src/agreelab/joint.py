@@ -225,12 +225,17 @@ def marginal(p: JointDistribution, axes: Iterable[str]) -> np.ndarray:
     return p.table.sum(axis=drop) if drop else p.table.copy()
 
 
-def _check_conditioning(p: JointDistribution, axis: str, index: int) -> None:
-    """Refuse to condition on an outcome outside the axis or of mass at most
-    the table's tol."""
+def _check_index(p: JointDistribution, axis: str, index: int) -> None:
+    """Refuse an outcome outside the axis, a negative one included."""
     size = p.space.axis_size(axis)
     if not 0 <= index < size:
         raise DimensionMismatch(f"axis {axis} index {index} outside range 0..{size - 1}")
+
+
+def _check_conditioning(p: JointDistribution, axis: str, index: int) -> None:
+    """Refuse to condition on an outcome outside the axis or of mass at most
+    the table's tol."""
+    _check_index(p, axis, index)
     mass = p.axis_masses(axis)[index]
     if mass <= p.tol:
         raise ZeroProbabilityConditioning(

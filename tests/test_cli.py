@@ -8,7 +8,8 @@ malformed scalar field in a scenario file is a validation error, as is an
 integer field holding a bool or a fraction, a mixture component without
 its order or weight, or a maximally mixed state wider than every
 instrument. A tolerance above every outcome's mass
-leaves no posterior pair to verify.
+leaves no posterior pair to verify. ``ck`` and ``protocol`` refuse an
+outcome pair outside the table's axes alike.
 """
 
 import copy
@@ -86,6 +87,22 @@ def test_protocol_honours_tol(near_twins, capsys):
     assert main(["protocol", near_twins, "--pair", "0", "0", "--tol", "1e-6"]) == cli.EXIT_OK
     assert "S_A=[0, 1] " in capsys.readouterr().out
     assert main(["protocol", near_twins, "--pair", "0", "0", "--tol", "-1"]) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["ck", "protocol"])
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (["9", "0"], "axis I index 9 outside range 0..3"),
+        (["-1", "0"], "axis I index -1 outside range 0..3"),
+        (["0", "4"], "axis J index 4 outside range 0..3"),
+        (["0", "-1"], "axis J index -1 outside range 0..3"),
+    ],
+)
+def test_pair_outside_axis_exits_3(scenarios_dir, capsys, command, pair, message):
+    path = str(scenarios_dir / "quantum_block.json")
+    assert main([command, path, "--pair", *pair]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 def test_search_passes_zero_tol_through(monkeypatch, capsys):

@@ -7,6 +7,7 @@ only on purpose, with
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from agreelab import (
     DEFAULT_TOL,
     AgreeLabError,
+    DimensionMismatch,
     Event,
     NoConvergence,
     OutcomeSpace,
@@ -87,6 +89,23 @@ def test_zero_mass_observation_rejected():
     event = Event(joint.space, frozenset({0}))
     with pytest.raises(ZeroProbabilityConditioning):
         dynamic_protocol(joint, event, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        (9, 0, "axis I index 9 outside range 0..1"),
+        (-1, 0, "axis I index -1 outside range 0..1"),
+        (0, 2, "axis J index 2 outside range 0..1"),
+        (0, -1, "axis J index -1 outside range 0..1"),
+    ],
+)
+def test_outcome_outside_axis_rejected(four_state_joint, i, j, message):
+    """An index past the end is not an IndexError, and a negative one does
+    not wrap around to an outcome from the end."""
+    joint, event = four_state_joint
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        dynamic_protocol(joint, event, i, j)
 
 
 def test_round_budget_enforced(four_state_joint):
