@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from agreelab import ParseError, ValidationError, parse_scenario, run_scenario
 from agreelab.cli import main
 from agreelab.report import emit_report, parse_records
-from agreelab.scenario import RunReport, _complex_matrix, complex_matrix_to_json
+from agreelab.scenario import _MAX_ENTRY, RunReport, _complex_matrix, complex_matrix_to_json
 
 
 MINIMAL_TABLE = {
@@ -117,7 +118,7 @@ class TestComplexMatrix:
         rng = np.random.default_rng(seed)
         rows, cols = rng.integers(1, 9, size=2)
         m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 3.0, -7.0, 1e15])
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, _MAX_ENTRY, -_MAX_ENTRY, 3.0, -7.0, 1e15])
         mask = rng.random((rows, cols, 2)) < 0.4
         parts = np.stack([m.real, m.imag], axis=-1)
         parts[mask] = rng.choice(special, size=int(mask.sum()))
@@ -133,7 +134,7 @@ class TestComplexMatrix:
         [
             ("[[[-0.0, -0.0], [0, -0.0]], [[-0.0, 0], [0, 0]]]", True),
             ("[[[1, 2], [3, 4]]]", True),
-            ("[[[5e-324, -1e308]], [[1e308, -5e-324]], [[2.2250738585072014e-308, 1e-320]]]", True),
+            ("[[[5e-324, -1e150]], [[1e150, -5e-324]], [[2.2250738585072014e-308, 1e-320]]]", True),
             ("[[[NaN, 0], [0, NaN]]]", True),
             ('[[["1.5", null], [true, false]]]', False),
         ],
@@ -152,6 +153,53 @@ class TestComplexMatrix:
             assert got == ("ValidationError", "w")
             with pytest.raises(ValidationError, match=r"^w: must be a number, got '1\.5'$"):
                 _complex_matrix(data, "w")
+
+    @pytest.mark.parametrize("x", [np.nextafter(_MAX_ENTRY, np.inf), -1e308, np.inf, -np.inf])
+    def test_entry_above_bound_refused(self, x):
+        """A part beyond the bound, the next float above it included, is
+        refused with the matrix named; a NaN part is left to the checks
+        that refuse non-finite entries."""
+        data = [[[0.5, np.nan], [-_MAX_ENTRY, x]]]
+        message = "w: entries must be at most 1e+150 in magnitude"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            _complex_matrix(data, "w")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    @pytest.mark.parametrize("where", ["w", "state", "instruments.A[0][0]"])
+    def test_huge_entry_exits_3_naming_the_matrix(self, tmp_path, capsys, where, indent):
+        """Entries of 1e308 used to overflow in the checks on W, on a state
+        and on a Kraus operator: exit 1 when numpy's RuntimeWarning is an
+        error. They are refused before any arithmetic."""
+
+        def matrix(rows):
+            return [[[float(x), 0.0] for x in row] for row in rows]
+
+        big = 1e308
+        one, eye = [[matrix([[1]])]], [[matrix(np.eye(2))]]
+        payload = {
+            "w": {
+                "backend": "process",
+                "lab_dims": {"A": [1, 1], "B": [1, 1], "E": [2, 1]},
+                "w": matrix([[big, -big], [-big, big]]),
+                "instruments": {"A": one, "B": one, "E": [[matrix([[1, 0]])], [matrix([[0, 1]])]]},
+            },
+            "state": {
+                "backend": "quantum",
+                "state": matrix([[big, -big], [-big, big]]),
+                "instruments": {"A": eye, "B": eye, "E": eye},
+            },
+            "instruments.A[0][0]": {
+                "backend": "quantum",
+                "state": matrix([[1]]),
+                "instruments": {"A": [[matrix([[big]])]], "B": one, "E": one},
+            },
+        }[where]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**payload, "event": [0]}, indent=indent))
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{where}: entries must be at most 1e+150 in magnitude" in err
 
     @pytest.mark.parametrize("leaf", ["true", "false", '"0.5"', "null"])
     @pytest.mark.parametrize(
