@@ -30,10 +30,6 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - dagger(m)).max())
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return m.shape[0] == m.shape[1] and hermiticity_deviation(m) <= tol
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m†)/2, a new array that is exactly hermitian."""
     return (m + dagger(m)) / 2
@@ -42,13 +38,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of the hermitian part of ``m``."""
     return float(np.linalg.eigvalsh(hermitian_part(m))[0])
-
-
-def bell_vector(dim: int) -> np.ndarray:
-    """Unnormalized maximally entangled vector sum_x |x,x> on dim*dim."""
-    v = np.zeros(dim * dim, dtype=complex)
-    v[:: dim + 1] = 1.0
-    return v
 
 
 def projector(vec: np.ndarray) -> np.ndarray:

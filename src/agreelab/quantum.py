@@ -36,10 +36,9 @@ class DensityMatrix:
         m = mx.as_complex_matrix(self.matrix, "density matrix")
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        if not mx.is_hermitian(m):
-            raise DimensionMismatch(
-                f"density matrix is not hermitian (deviation {mx.hermiticity_deviation(m):.3e})"
-            )
+        deviation = mx.hermiticity_deviation(m)
+        if deviation > mx.HERMITICITY_TOL:
+            raise DimensionMismatch(f"density matrix is not hermitian (deviation {deviation:.3e})")
         low = mx.min_eigenvalue(m)
         if low < -mx.PSD_TOL:
             raise NegativeMass(

@@ -52,7 +52,7 @@ def random_projective_instrument(
     update rule for a degenerate projective measurement).
     """
     u = haar_unitary(dim, rng)
-    projectors = [np.outer(u[:, c], u[:, c].conj()) for c in range(dim)]
+    projectors = u.T[:, :, None] * u.T.conj()[:, None, :]  # |u_c><u_c| for each column c
     if n_branches is None or n_branches >= dim:
         return Instrument(tuple((pr,) for pr in projectors))
     n_branches = max(1, n_branches)

@@ -97,6 +97,13 @@ def enum_conditional(table: np.ndarray, t_axis: int, t_set, g_axis: int, g_set) 
     return num / den
 
 
+def bell_vector(dim: int) -> np.ndarray:
+    """Unnormalized maximally entangled vector sum_x |x,x> on dim*dim."""
+    v = np.zeros(dim * dim, dtype=complex)
+    v[:: dim + 1] = 1.0
+    return v
+
+
 def pure_state(vec) -> DensityMatrix:
     return DensityMatrix.pure(np.asarray(vec, dtype=complex))
 

@@ -31,13 +31,13 @@ from agreelab.cli import EXIT_OK, main
 from agreelab.process import DENSE_W_BUDGET_BYTES, JOINT_IMAG_TOL
 from agreelab.randomgen import random_density, random_instrument, trial_rng
 from agreelab.scenario import complex_matrix_to_json, parse_scenario
-from conftest import choi_link_table
+from conftest import bell_vector, choi_link_table
 
 
 class TestChoiStack:
     def test_identity_channel(self):
         (c,) = choi_stack(Instrument.identity(3))
-        bell = mx.bell_vector(3)
+        bell = bell_vector(3)
         assert c == pytest.approx(np.outer(bell, bell.conj()))
         assert np.trace(c).real == pytest.approx(3.0)
 
@@ -246,7 +246,7 @@ class TestMixProcesses:
 def _causal_loop():
     """Identity wires A_out -> B_in and B_out -> A_in, and a maximally mixed
     E_in: hermitian, positive and of the right trace, yet not a process."""
-    wire = mx.projector(mx.bell_vector(2)).reshape(2, 2, 2, 2)
+    wire = mx.projector(bell_vector(2)).reshape(2, 2, 2, 2)
     # factors (A_in, A_out, B_in, B_out, E_in) on each matrix side
     w = np.einsum("bcBC,daDA,eE->abcdeABCDE", wire, wire, np.eye(2) / 2)
     return w.reshape(32, 32), ((2, 2), (2, 2), (2, 1))
