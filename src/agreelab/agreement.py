@@ -727,7 +727,8 @@ def dynamic_protocol(
         sizes = [len(s) for s in sets]
         announced = []
         for side, (masses, hits, x) in enumerate(agents):
-            # contiguous rows, each summed as a 1-D gather of it would be
+            # np.take gathers contiguous rows, so each sums in the order of a
+            # 1-D gather of that row; a[:, idx] lays rows out strided and would not
             mass = np.take(masses, sets[1 - side], axis=1).sum(axis=1)
             seen = mass > tol
             if not seen[x]:
