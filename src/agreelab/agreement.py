@@ -70,6 +70,7 @@ One tolerance ``tol`` plays three roles, all with the same default:
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
@@ -710,8 +711,11 @@ def dynamic_protocol(
 
     For tol >= 0 it stops within |I| + |J| - 1 rounds, within the default
     budget of |I| |J|: an observed outcome's posterior is its announcement,
-    so it stays, and each round that changes a set removes an outcome.
+    so it stays, and each round that changes a set removes an outcome. A
+    negative or non-finite tol raises ValueError.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     _check_index(p, "I", i)
     _check_index(p, "J", j)
     m2 = p.table.sum(axis=2)

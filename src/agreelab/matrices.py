@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValidationError
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
+
+# Largest real or imaginary part, in magnitude, of an accepted density
+# matrix, process matrix W or Kraus array: B = 1e150. Below it no check can
+# overflow. Each sums at most n entries (|z| <= 1.5 B) or n products of two
+# (<= 2e300), finite for n below 1e158 and 8.9e7: hermiticity, hermitian
+# part and trace sum at most d entries, W's projection onto valid processes
+# at most triples an entry per lab, and sum K^dag K sums fewer products than
+# the lab's Kraus operators have entries (8.9e7 entries take half a
+# gigabyte of JSON). LAPACK runs with numpy's overflow warnings off, and an
+# accepted matrix is bounded by its trace or by completeness.
+MAX_ENTRY = 1e150
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -20,6 +31,20 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d array, got shape {a.shape}")
     return a
+
+
+def check_entries(m: np.ndarray, kind: str) -> None:
+    """Refuse a complex array with a NaN or infinite entry, then one with a
+    real or imaginary part above :data:`MAX_ENTRY` in magnitude, raising
+    :class:`ValidationError` that names ``kind``. An accepted array costs a max
+    and a min reduction and no temporary."""
+    parts = np.ascontiguousarray(m).view(float)
+    worst = max(parts.max(), -parts.min())  # NaN when an entry is NaN
+    if worst <= MAX_ENTRY:
+        return
+    if not np.isfinite(worst):
+        raise ValidationError(f"{kind} has non-finite entries")
+    raise ValidationError(f"{kind} entries must be at most {MAX_ENTRY:g} in magnitude")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

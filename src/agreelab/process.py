@@ -42,9 +42,11 @@ compute the eigenvalues, so their figures stay exact.
 
 A :class:`ProcessMatrix` is held in one of two forms. Constructed
 processes (:func:`embed_definite_order`, :func:`mix_processes`) are
-factored: a convex sum of definite-order circuits, each a state, identity
-wires and a discarded last output. :func:`process_joint` composes each
-circuit from the labs' Kraus operators, as a quantum scenario is, so
+factored: a convex sum of :class:`agreelab.quantum.WiringTerm` terms, each
+a definite-order circuit of a state, identity wires and a discarded last
+output, the same object as a quantum scenario. A term checks its wire
+chain, builds its weighted table from the labs' Kraus arrays, and builds
+its dense W on request. :func:`process_joint` sums the terms' tables, so
 neither the d^12-entry W nor a Choi operator is built. An explicit W, such
 as the quantum switch read from a file, is dense and contracted against
 the labs' Choi stacks in one einsum. A dense W above
@@ -56,18 +58,15 @@ reading an explicit W whose declared lab dims imply one.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import matrices as mx
 from .errors import BadWeights, DimensionMismatch, NotNormalized, ValidationError
-from .joint import DEFAULT_TOL, JointDistribution, OutcomeSpace, validate_joint
-from .quantum import DensityMatrix, Instrument, choi_stack, compose_table, kraus_stack
-
-LABS = ("A", "B", "E")
+from .joint import DEFAULT_TOL, JointDistribution, OutcomeSpace, as_index, validate_joint
+from .quantum import LABS, DensityMatrix, Instrument, WiringTerm, choi_stack
 
 PROCESS_TRACE_TOL = 1e-8
 
@@ -101,12 +100,8 @@ def _normalize_lab_dims(lab_dims) -> LabDims:
         raise DimensionMismatch(f"expected dims for the three labs {LABS}")
     out = []
     for lab, pair in zip(LABS, dims):
-        # operator.index takes Python and numpy integers and refuses a
-        # fraction; a bool is an int to it, so bools are refused first
         try:
-            if any(isinstance(d, bool) for d in pair):
-                raise TypeError
-            d_in, d_out = map(operator.index, pair)
+            d_in, d_out = (as_index(d, f"lab {lab} dims") for d in pair)
         except (TypeError, ValueError):
             raise DimensionMismatch(
                 f"lab {lab} dims must be a pair of integers, got {pair!r}"
@@ -115,22 +110,6 @@ def _normalize_lab_dims(lab_dims) -> LabDims:
             raise DimensionMismatch(f"lab {lab} dims must be positive, got {pair}")
         out.append((d_in, d_out))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class WiringTerm:
-    """One definite-order circuit, weighted, as a term of a factored W.
-
-    ``state`` enters the first lab of ``order``; identity channels wire each
-    lab's output to the next lab's input; the last output is discarded. The
-    term's W is ``weight * (rho^T (x) |I>><<I| (x) |I>><<I| (x) 1)`` over
-    (first input, first output and second input, second output and third
-    input, third output), positive by construction for a nonnegative weight.
-    """
-
-    weight: float
-    state: DensityMatrix
-    order: tuple[str, str, str]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -176,13 +155,9 @@ class ProcessMatrix:
     @classmethod
     def _factored(cls, terms: Sequence[WiringTerm], lab_dims: LabDims) -> ProcessMatrix:
         """A factored W; the weights are checked by the caller."""
-        by_lab = dict(zip(LABS, lab_dims))
-        for t in terms:
-            _check_chain(t.state, t.order, by_lab)
         w = cls.__new__(cls)
         w._set(lab_dims, tuple(terms), None)
-        tr = sum(t.weight * complex(np.trace(t.state.matrix)).real for t in terms)
-        tr *= w.output_dim_product
+        tr = sum(t.check(lab_dims) for t in terms) * w.output_dim_product
         if abs(tr - w.output_dim_product) > PROCESS_TRACE_TOL:
             raise ValidationError(
                 f"process matrix trace {tr} != product of output dims {w.output_dim_product}"
@@ -199,10 +174,9 @@ class ProcessMatrix:
         if self._dense is not None:
             return self._dense
         check_dense_budget(self.lab_dims)
-        by_lab = dict(zip(LABS, self.lab_dims))
-        w = _wiring_matrix(self.terms[0], by_lab)
+        w = self.terms[0].dense(self.lab_dims)
         for t in self.terms[1:]:
-            w += _wiring_matrix(t, by_lab)
+            w += t.dense(self.lab_dims)
         w.setflags(write=False)
         return w
 
@@ -222,8 +196,7 @@ def _as_process_matrix(matrix, lab_dims: LabDims) -> np.ndarray:
         raise DimensionMismatch(
             f"process matrix shape {m.shape} != ({d}, {d}) for lab dims {lab_dims}"
         )
-    if not np.isfinite(m).all():
-        raise ValidationError("process matrix has non-finite entries")
+    mx.check_entries(m, "process matrix")
     return m
 
 
@@ -238,41 +211,6 @@ def check_dense_budget(lab_dims: LabDims) -> None:
             f"above the {DENSE_W_BUDGET_BYTES / 2**20:.0f} MiB budget",
             "lab_dims",
         )
-
-
-def _check_chain(state: DensityMatrix, order: tuple[str, ...], by_lab) -> None:
-    if sorted(order) != sorted(LABS):
-        raise DimensionMismatch(f"order must be a permutation of {LABS}, got {order}")
-    first, second, third = order
-    if by_lab[first][0] != state.dim:
-        raise DimensionMismatch(
-            f"state dim {state.dim} != input dim {by_lab[first][0]} of first lab {first}"
-        )
-    for x, y in ((first, second), (second, third)):
-        if by_lab[x][1] != by_lab[y][0]:
-            raise DimensionMismatch(
-                f"output dim of lab {x} ({by_lab[x][1]}) != input dim of lab {y} "
-                f"({by_lab[y][0]})"
-            )
-
-
-def _wiring_matrix(term: WiringTerm, by_lab) -> np.ndarray:
-    """Dense W of one term, axes in the canonical (A_in, ..., E_out) order.
-
-    W = weight * (rho^T (x) |I>><<I| (x) |I>><<I| (x) 1) is one outer
-    product: rho^T on the first input, an identity from each output to the
-    next input on either matrix side (|I>><<I|[(x, y), (x', y')] =
-    d(x, y) d(x', y')), and an identity on the last output. Lowercase
-    letters index rows and uppercase ones columns; each lab's (in, out)
-    letter pair is placed in canonical lab order.
-    """
-    pairs = dict(zip(term.order, ("ab", "cd", "ef")))
-    rows = "".join(pairs[lab] for lab in LABS)
-    id1, id2, id3 = (np.eye(by_lab[lab][1]) for lab in term.order)
-    spec = f"aA,bc,BC,de,DE,fF->{rows}{rows.upper()}"
-    w = np.einsum(spec, term.weight * term.state.matrix.T, id1, id1, id2, id2, id3, order="C")
-    d = math.prod(d for pair in by_lab.values() for d in pair)
-    return w.reshape(d, d)
 
 
 def _dense_table(matrix: np.ndarray, instrs: Sequence[Instrument]) -> np.ndarray:
@@ -311,8 +249,7 @@ def process_joint(
     if dims != w.lab_dims:
         raise DimensionMismatch(f"instruments have dims {dims}, process expects {w.lab_dims}")
     if w.terms:
-        stacks = {lab: kraus_stack(instr) for lab, instr in zip(LABS, instrs)}
-        raw = sum(t.weight * compose_table(t.state.matrix, stacks, t.order) for t in w.terms)
+        raw = sum(t.table(instrs) for t in w.terms)
     else:
         raw = _dense_table(w.matrix, instrs)
     return validate_joint(raw, OutcomeSpace(*(instr.n_branches for instr in instrs)), tol)
@@ -361,9 +298,7 @@ def mix_processes(ws: Sequence[ProcessMatrix], weights: Sequence[float]) -> Proc
                 f"lab dims differ across components: {w.lab_dims} vs {dims}"
             )
     if all(w.terms for w in ws):
-        terms = [
-            WiringTerm(x * t.weight, t.state, t.order) for x, w in zip(weights, ws) for t in w.terms
-        ]
+        terms = [replace(t, weight=x * t.weight) for x, w in zip(weights, ws) for t in w.terms]
         return ProcessMatrix._factored(terms, dims)
     return ProcessMatrix(sum(x * w.matrix for x, w in zip(weights, ws)), dims)
 
@@ -448,7 +383,9 @@ def validate_process(matrix: np.ndarray, lab_dims) -> ProcessDiagnostics:
     every choice of local instruments, which is what the downstream
     machinery needs. Hermitian, positive, correctly normalized matrices
     that fail only the last check exist: a causal loop is one. A W with a
-    non-finite entry raises :class:`ValidationError` instead.
+    non-finite entry, or a real or imaginary part above
+    :data:`matrices.MAX_ENTRY` in magnitude, raises :class:`ValidationError`
+    instead.
     """
     dims = _normalize_lab_dims(lab_dims)
     return _diagnose(_as_process_matrix(matrix, dims), dims)

@@ -1,28 +1,38 @@
 """Density matrices, instruments in Kraus form, and definite-order tables.
 
 An instrument is a finite collection of completely positive "branches",
-one per outcome, whose sum is trace preserving. Applying branch b to a
-state rho gives the unnormalized post-measurement state; its trace is the
-outcome probability. :func:`compose_table` chains three labs' Kraus stacks
-in a temporal order and traces at the end: it builds the joint table of a
-quantum scenario and of each term of a factored process matrix.
+one per outcome, whose sum is trace preserving; it holds its Kraus
+operators in one zero-padded array. Applying branch b to a state rho gives
+the unnormalized post-measurement state; its trace is the outcome
+probability. A :class:`WiringTerm` is one definite-order circuit: it
+checks its wire chain against the labs' dims, and its table method runs the
+state through three labs' Kraus arrays in a temporal order and traces at
+the end. A quantum scenario is one term of weight 1, and a factored process
+matrix a weighted sum of terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import matrices as mx
-from .errors import DimensionMismatch, NegativeMass, NotNormalized, ParameterOutOfRange
+from .errors import (
+    DimensionMismatch,
+    NegativeMass,
+    NotNormalized,
+    ParameterOutOfRange,
+    ValidationError,
+)
 from .joint import DEFAULT_TOL, Event, JointDistribution, OutcomeSpace, validate_joint
 
 DENSITY_TRACE_TOL = 1e-9
 COMPLETENESS_TOL = 1e-9
 
+LABS = ("A", "B", "E")
 ORDERS = ("ABE", "AEB")
 
 
@@ -36,6 +46,7 @@ class DensityMatrix:
         m = mx.as_complex_matrix(self.matrix, "density matrix")
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
+        mx.check_entries(m, "density matrix")
         deviation = mx.hermiticity_deviation(m)
         if deviation > mx.HERMITICITY_TOL:
             raise DimensionMismatch(f"density matrix is not hermitian (deviation {deviation:.3e})")
@@ -72,54 +83,66 @@ class DensityMatrix:
 class Instrument:
     """Outcome-indexed collection of CP maps summing to a trace-preserving map.
 
-    ``branches[b]`` is the tuple of Kraus operators of branch b, each of
-    shape (dim_out, dim_in). Construction refuses non-finite Kraus entries
-    and checks trace preservation of the total map unless ``check=False``
-    (used to build deliberately broken instruments for diagnostics).
+    ``kraus`` is the read-only (branches, operators, dim_out, dim_in) array
+    of the Kraus operators, zero padded to the longest branch, and
+    ``counts[b]`` is the number of operators of branch b. ``branches[b]`` is
+    the tuple of branch b's operators, read-only views into ``kraus``.
+    Construction refuses non-finite Kraus entries and entries above
+    :data:`matrices.MAX_ENTRY`, and checks trace preservation of the total
+    map unless ``check=False`` (used to build deliberately broken
+    instruments for diagnostics).
     """
 
     branches: tuple[tuple[np.ndarray, ...], ...]
     check: bool = True
+    kraus: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.branches or any(not b for b in self.branches):
             raise DimensionMismatch("instrument needs at least one Kraus operator per branch")
-        frozen = []
-        d_out, d_in = mx.as_complex_matrix(self.branches[0][0]).shape
-        for branch in self.branches:
-            ops = []
-            for k in branch:
-                k = mx.as_complex_matrix(k, "kraus operator").copy()
-                if k.shape != (d_out, d_in):
-                    raise DimensionMismatch(
-                        f"kraus operator shape {k.shape} != {(d_out, d_in)}"
-                    )
-                k.setflags(write=False)
-                ops.append(k)
-            frozen.append(tuple(ops))
-        object.__setattr__(self, "branches", tuple(frozen))
-        if not self.check:
-            _refuse_non_finite(self)
-            return
-        dev = completeness_deviation(self)
-        # NaN, from a non-finite Kraus entry, fails this test too
-        if not dev <= COMPLETENESS_TOL:
-            _refuse_non_finite(self)
+        counts = [len(b) for b in self.branches]
+        shape = mx.as_complex_matrix(self.branches[0][0], "kraus operator").shape
+        pad = (np.zeros(shape),) * max(counts)
+        try:
+            kraus = np.array([(*b, *pad[n:]) for b, n in zip(self.branches, counts)], dtype=complex)
+        except ValueError:  # an operator of another shape
+            raise DimensionMismatch(f"kraus operators must all have shape {shape}") from None
+        try:
+            mx.check_entries(kraus, "kraus operator")
+        except ValidationError:
+            bad = ~np.isfinite(kraus).all(axis=(2, 3))
+            if not bad.any():
+                raise
+            b, m = np.argwhere(bad)[0]
             raise NotNormalized(
-                f"instrument is not trace preserving: ||sum K^dag K - 1|| = {dev:.3e}"
-            )
+                f"kraus operator {m} of branch {b} has non-finite entries"
+            ) from None
+        kraus.setflags(write=False)
+        views = tuple(tuple(kraus[b, :n]) for b, n in enumerate(counts))
+        counts = np.array(counts)
+        counts.setflags(write=False)
+        object.__setattr__(self, "branches", views)
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "counts", counts)
+        if self.check:
+            dev = completeness_deviation(self)
+            if dev > COMPLETENESS_TOL:
+                raise NotNormalized(
+                    f"instrument is not trace preserving: ||sum K^dag K - 1|| = {dev:.3e}"
+                )
 
     @property
     def dim_in(self) -> int:
-        return self.branches[0][0].shape[1]
+        return self.kraus.shape[3]
 
     @property
     def dim_out(self) -> int:
-        return self.branches[0][0].shape[0]
+        return self.kraus.shape[2]
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
+        return len(self.counts)
 
     @classmethod
     def projective(cls, basis) -> "Instrument":
@@ -139,27 +162,11 @@ class Instrument:
         return cls(((np.eye(dim, dtype=complex),),))
 
 
-def _refuse_non_finite(instr: Instrument) -> None:
-    """Raise naming the first Kraus operator with a NaN or infinite entry."""
-    for b, branch in enumerate(instr.branches):
-        for m, k in enumerate(branch):
-            if not np.isfinite(k).all():
-                raise NotNormalized(f"kraus operator {m} of branch {b} has non-finite entries")
-
-
 def completeness_deviation(instr: Instrument) -> float:
-    """Spectral norm of sum_b sum_m K^dag K - identity; NaN when a Kraus
-    entry is not finite, which leaves a diagonal entry of the sum NaN or
-    infinite."""
-    d_in = instr.dim_in
-    acc = np.zeros((d_in, d_in), dtype=complex)
-    with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite operator
-        for branch in instr.branches:
-            for k in branch:
-                acc += mx.dagger(k) @ k
-    if not np.isfinite(acc).all():
-        return math.nan
-    return float(np.abs(np.linalg.eigvalsh(acc - np.eye(d_in))).max())
+    """Spectral norm of sum_b sum_m K^dag K - identity. The sum is G^dag G
+    for G, all Kraus operators stacked as rows; the padding adds zero rows."""
+    g = instr.kraus.reshape(-1, instr.dim_in)
+    return float(np.abs(np.linalg.eigvalsh(g.conj().T @ g - np.eye(instr.dim_in))).max())
 
 
 def choi_stack(instr: Instrument) -> np.ndarray:
@@ -172,15 +179,16 @@ def choi_stack(instr: Instrument) -> np.ndarray:
             = sum_{x,y} |x><y| (x) M_b(|x><y|),
 
     and ``(id (x) K)|phi+>`` is the column-stacked ``K.T``. The outer
-    products of all Kraus operators are taken at once and summed per branch.
-    Each C_b is positive semidefinite by construction; the identity channel
-    maps to the unnormalized maximally entangled projector.
+    products of all Kraus operators, padding left out, are taken at once and
+    summed per branch. Each C_b is positive semidefinite by construction;
+    the identity channel maps to the unnormalized maximally entangled
+    projector.
     """
-    kraus = np.stack([k for branch in instr.branches for k in branch])
+    counts = instr.counts
+    kraus = instr.kraus[np.arange(instr.kraus.shape[1]) < counts[:, None]]
     vecs = kraus.transpose(0, 2, 1).reshape(len(kraus), -1)
     outer = vecs[:, :, None] * vecs[:, None, :].conj()
-    starts = np.cumsum([0] + [len(branch) for branch in instr.branches[:-1]])
-    return np.add.reduceat(outer, starts, axis=0)
+    return np.add.reduceat(outer, np.cumsum(counts) - counts, axis=0)
 
 
 def _sandwich(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -188,31 +196,22 @@ def _sandwich(k: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return k @ rho @ k.conj().swapaxes(-1, -2)
 
 
-def kraus_stack(instr: Instrument) -> tuple[np.ndarray, np.ndarray]:
-    """The (branches, operators, d_out, d_in) array of an instrument's Kraus
-    operators, zero padded to the longest branch, and each branch's count."""
-    counts = np.array([len(branch) for branch in instr.branches])
-    ops = np.zeros((len(counts), counts.max(), instr.dim_out, instr.dim_in), dtype=complex)
-    for b, branch in enumerate(instr.branches):
-        ops[b, : counts[b]] = branch
-    return ops, counts
-
-
 # Complex entries (1 MiB) in one block of post-measurement states: however
 # many branches, a stage holds a few MiB and never every final state.
 _STATE_BLOCK_ENTRIES = 2**16
 
 
-def _branch_traces(states: np.ndarray, stacks: Sequence[tuple]) -> np.ndarray:
-    """p[s, x, y, ...]: trace left on state s by branch x of the first Kraus
-    stack, then y of the next, and so on; each entry has the bits of staging
-    the labs one at a time, each branch's K rho K^dag terms added in Kraus
-    order (padding skipped) and the last state traced with np.trace."""
-    if not stacks:
+def _branch_traces(states: np.ndarray, instrs: Sequence[Instrument]) -> np.ndarray:
+    """p[s, x, y, ...]: trace left on state s by branch x of the first
+    instrument, then y of the next, and so on; each entry has the bits of
+    staging the labs one at a time, each branch's K rho K^dag terms added in
+    Kraus order (padding skipped) and the last state traced with np.trace."""
+    if not instrs:
         return np.trace(states, axis1=-2, axis2=-1).real
-    (ops, counts), rest = stacks[0], stacks[1:]
+    first, rest = instrs[0], instrs[1:]
+    ops, counts = first.kraus, first.counts
     n, n_ops, d_out, d_in = ops.shape
-    out = np.empty((len(states), *(len(c) for _, c in stacks)))
+    out = np.empty((len(states), *(instr.n_branches for instr in instrs)))
     block = max(1, _STATE_BLOCK_ENTRIES // (n * d_out * max(d_in, d_out)))
     for lo in range(0, len(states), block):
         chunk = states[lo : lo + block, None]
@@ -224,11 +223,69 @@ def _branch_traces(states: np.ndarray, stacks: Sequence[tuple]) -> np.ndarray:
     return out
 
 
-def compose_table(rho: np.ndarray, stacks: Mapping[str, tuple], order: Sequence[str]) -> np.ndarray:
-    """Raw table p(i, j, k) of ``rho`` fed to the labs in ``order``, each
-    applying every branch of its :func:`kraus_stack` in ``stacks``."""
-    staged = _branch_traces(rho[None], [stacks[lab] for lab in order])[0]
-    return staged.transpose([order.index(lab) for lab in "ABE"])
+@dataclass(frozen=True)
+class WiringTerm:
+    """One definite-order circuit, weighted: a quantum scenario, or one term
+    of a factored process matrix.
+
+    ``state`` enters the first lab of ``order``; identity channels wire each
+    lab's output to the next lab's input; the last output is discarded. The
+    term's W is ``weight * (rho^T (x) |I>><<I| (x) |I>><<I| (x) 1)`` over
+    (first input, first output and second input, second output and third
+    input, third output), positive by construction for a nonnegative weight.
+    Lab dims and instruments are given in A, B, E order.
+    """
+
+    weight: float
+    state: DensityMatrix
+    order: tuple[str, str, str]
+
+    def check(self, lab_dims: Sequence[tuple[int, int]]) -> float:
+        """Refuse an order or a wire chain that does not fit ``lab_dims``, the
+        (input, output) dims of each lab; return the term's share
+        ``weight * tr(rho)`` of tr W / prod d_out."""
+        if sorted(self.order) != sorted(LABS):
+            raise DimensionMismatch(f"order must be a permutation of {LABS}, got {self.order}")
+        by_lab = dict(zip(LABS, lab_dims))
+        first, second, third = self.order
+        if by_lab[first][0] != self.state.dim:
+            raise DimensionMismatch(
+                f"state dim {self.state.dim} != input dim {by_lab[first][0]} of first lab {first}"
+            )
+        for x, y in ((first, second), (second, third)):
+            if by_lab[x][1] != by_lab[y][0]:
+                raise DimensionMismatch(
+                    f"output dim of lab {x} ({by_lab[x][1]}) != input dim of lab {y} "
+                    f"({by_lab[y][0]})"
+                )
+        return self.weight * complex(np.trace(self.state.matrix)).real
+
+    def table(self, instrs: Sequence[Instrument]) -> np.ndarray:
+        """Weighted raw table p(i, j, k) of the state fed to the labs in
+        ``order``, each applying every branch of its instrument; the bits of
+        the staged table times the weight."""
+        by_lab = dict(zip(LABS, instrs))
+        staged = _branch_traces(self.state.matrix[None], [by_lab[lab] for lab in self.order])[0]
+        return self.weight * staged.transpose([self.order.index(lab) for lab in LABS])
+
+    def dense(self, lab_dims: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Dense W, axes in the canonical (A_in, ..., E_out) order.
+
+        W is one outer product: rho^T on the first input, an identity from
+        each output to the next input on either matrix side
+        (|I>><<I|[(x, y), (x', y')] = d(x, y) d(x', y')), and an identity on
+        the last output. Lowercase letters index rows and uppercase ones
+        columns; each lab's (in, out) letter pair is placed in canonical lab
+        order.
+        """
+        pairs = dict(zip(self.order, ("ab", "cd", "ef")))
+        rows = "".join(pairs[lab] for lab in LABS)
+        by_lab = dict(zip(LABS, lab_dims))
+        id1, id2, id3 = (np.eye(by_lab[lab][1]) for lab in self.order)
+        spec = f"aA,bc,BC,de,DE,fF->{rows}{rows.upper()}"
+        w = np.einsum(spec, self.weight * self.state.matrix.T, id1, id1, id2, id2, id3, order="C")
+        d = math.prod(d for pair in lab_dims for d in pair)
+        return w.reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -237,7 +294,8 @@ class QuantumScenario:
 
     ``order`` is "ABE" (Alice, Bob, then the event measurement) or "AEB"
     (event measurement between Alice and Bob). The joint table axes are
-    always reported as (i, j, k) regardless of temporal order.
+    always reported as (i, j, k) regardless of temporal order. The circuit
+    is a :class:`WiringTerm` of weight 1.
     """
 
     state: DensityMatrix
@@ -250,14 +308,8 @@ class QuantumScenario:
     def __post_init__(self):
         if self.order not in ORDERS:
             raise DimensionMismatch(f"order must be one of {ORDERS}, got {self.order!r}")
-        chain = self.instrument_chain()
-        dim = self.state.dim
-        for instr in chain:
-            if instr.dim_in != dim:
-                raise DimensionMismatch(
-                    f"instrument expects input dim {instr.dim_in}, chain carries {dim}"
-                )
-            dim = instr.dim_out
+        dims = [(i.dim_in, i.dim_out) for i in (self.instr_a, self.instr_b, self.instr_e)]
+        WiringTerm(1.0, self.state, tuple(self.order)).check(dims)
         if self.event is None:
             object.__setattr__(
                 self, "event", Event(self.space, frozenset(range(self.instr_e.n_branches)))
@@ -281,10 +333,11 @@ def sequential_joint(scenario: QuantumScenario, tol: float = DEFAULT_TOL) -> Joi
 
     p(i, j, k) is the trace of the selected branches applied to the state
     in the scenario's temporal order; the output axes are always (i, j, k).
+    The weight-1 term keeps every bit of the staged table, -0.0 included.
     """
     s = scenario
-    stacks = {lab: kraus_stack(i) for lab, i in zip("ABE", (s.instr_a, s.instr_b, s.instr_e))}
-    return validate_joint(compose_table(s.state.matrix, stacks, s.order), s.space, tol)
+    raw = WiringTerm(1.0, s.state, tuple(s.order)).table((s.instr_a, s.instr_b, s.instr_e))
+    return validate_joint(raw, s.space, tol)
 
 
 def _block_basis(theta: float, phi: float) -> np.ndarray:

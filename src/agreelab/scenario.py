@@ -34,6 +34,7 @@ from .joint import (
     as_index,
     validate_joint,
 )
+from .matrices import MAX_ENTRY
 from .process import (
     LABS,
     ProcessMatrix,
@@ -110,9 +111,6 @@ class _FlatMatrix:
     cols: int
 
 
-_MAX_ENTRY = 1e150
-
-
 def _complex_matrix(data, where: str) -> np.ndarray:
     """Nested rows of [re, im] pairs, or a :class:`_FlatMatrix`, as a complex
     matrix.
@@ -123,16 +121,10 @@ def _complex_matrix(data, where: str) -> np.ndarray:
     OverflowError, which the scenario parser reports against the backend.
     An empty matrix or row fails a type check, which then sees no list.
 
-    A real or imaginary part above ``_MAX_ENTRY`` = B = 1e150 in magnitude,
-    infinity included, is refused; then no check can overflow. Each sums
-    at most n entries (|z| <= 1.5 B) or n products of two (<= 2e300),
-    finite for n below 1e158 and 8.9e7: hermiticity, hermitian part and
-    trace sum at most d entries, W's projection onto valid processes at
-    most triples an entry per lab, and sum K^dag K sums fewer products than
-    the lab's Kraus operators have entries (8.9e7 entries take half a
-    gigabyte of JSON). LAPACK runs with numpy's overflow warnings off, and
-    an accepted matrix is bounded by its trace or by completeness. NaN
-    passes, to be refused as non-finite later.
+    A real or imaginary part above :data:`matrices.MAX_ENTRY` in magnitude,
+    infinity included, is refused with the matrix's location; the bound says
+    why no later check can overflow. NaN passes, to be refused as non-finite
+    later.
     """
     if isinstance(data, _FlatMatrix):
         rows, cols, values = data.rows, data.cols, data.values
@@ -154,8 +146,8 @@ def _complex_matrix(data, where: str) -> np.ndarray:
             for x in values:
                 _number(x, where)
     arr = np.fromiter(values, float, count=rows * cols * 2).reshape(rows, cols, 2)
-    if (np.abs(arr) > _MAX_ENTRY).any():
-        raise ValidationError(f"entries must be at most {_MAX_ENTRY:g} in magnitude", where)
+    if (np.abs(arr) > MAX_ENTRY).any():
+        raise ValidationError(f"entries must be at most {MAX_ENTRY:g} in magnitude", where)
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -114,6 +114,17 @@ def test_round_budget_enforced(four_state_joint):
         dynamic_protocol(joint, event, 0, 0, max_rounds=1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_negative_or_non_finite_tol_refused(tol):
+    """A negative tol divided 0 by 0 and announced NaN, and a NaN one
+    claimed that the announcements had eliminated every outcome."""
+    joint, event = random_joint_table(trial_rng(1, 0), max_size=3)
+    message = f"tol must be finite and nonnegative, got {tol}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dynamic_protocol(joint, event, 0, 0, tol=tol)
+
+
 def golden_tables():
     """(name, table, event, tol, max_rounds) of every table whose transcripts
     are pinned: each fixture at its tol, with the default budget and with a

@@ -1,6 +1,7 @@
 """Choi stacks, definite-order embeddings, mixtures, and external W input."""
 
 import json
+import re
 from itertools import permutations
 
 import numpy as np
@@ -108,26 +109,33 @@ class TestEmbedDefiniteOrder:
                 ("A", "B", "E"),
                 {"A": (2, 2.7), "B": (2, 2), "E": (2, True)},
             )
-        with pytest.raises(DimensionMismatch, match="lab E"):
-            embed_definite_order(
-                DensityMatrix.maximally_mixed(2),
-                ("A", "B", "E"),
-                {"A": (2, 2), "B": (2, 2), "E": (2, True)},
-            )
+        # the rule of joint.as_index, shared with file lab dims, Event members
+        # and outcome-space sizes
+        for x in (True, 2.5, "2"):
+            message = f"lab E dims must be an integer, got {x!r}"
+            with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+                embed_definite_order(
+                    DensityMatrix.maximally_mixed(2),
+                    ("A", "B", "E"),
+                    {"A": (2, 2), "B": (2, 2), "E": (2, x)},
+                )
 
     def test_numpy_integer_dims_accepted(self):
-        dims = {lab: (np.int64(2), np.int32(2)) for lab in "ABE"}
-        w = embed_definite_order(DensityMatrix.maximally_mixed(2), ("A", "B", "E"), dims)
-        assert w.lab_dims == ((2, 2), (2, 2), (2, 2))
-        assert all(type(d) is int for pair in w.lab_dims for d in pair)
+        # integer-valued floats too, by the rule of joint.as_index
+        for two in (np.int64(2), np.int32(2), 2.0, np.float64(2.0)):
+            dims = {lab: (two, two) for lab in "ABE"}
+            w = embed_definite_order(DensityMatrix.maximally_mixed(2), ("A", "B", "E"), dims)
+            assert w.lab_dims == ((2, 2), (2, 2), (2, 2))
+            assert all(type(d) is int for pair in w.lab_dims for d in pair)
 
 
 class TestCrossBackend:
     def test_block_example_both_orders(self, block_example):
+        # one circuit serves both backends, so their bits agree
         scenario, joint_abe = block_example
         w = embed_definite_order(scenario.state, ("A", "B", "E"))
         table = process_joint(w, scenario.instr_a, scenario.instr_b, scenario.instr_e)
-        assert np.abs(table.table - joint_abe.table).max() < 1e-10
+        assert table.table.tobytes() == joint_abe.table.tobytes()
         link = choi_link_table(w, scenario.instr_a, scenario.instr_b, scenario.instr_e)
         assert np.abs(joint_abe.table - link).max() < 1e-10
 
@@ -138,7 +146,7 @@ class TestCrossBackend:
         w2 = embed_definite_order(scenario.state, ("A", "E", "B"))
         table2 = process_joint(w2, scenario.instr_a, scenario.instr_b, scenario.instr_e)
         seq2 = sequential_joint(interleaved)
-        assert np.abs(table2.table - seq2.table).max() < 1e-10
+        assert table2.table.tobytes() == seq2.table.tobytes()
         link2 = choi_link_table(w2, scenario.instr_a, scenario.instr_b, scenario.instr_e)
         assert np.abs(seq2.table - link2).max() < 1e-10
 
@@ -155,10 +163,9 @@ class TestCrossBackend:
                 state, ("A", "B", "E"), {"A": (d0, d1), "B": (d1, d2), "E": (d2, d3)}
             )
             emb = process_joint(w, ia, ib, ie)
-            assert np.abs(seq.table - emb.table).max() < 1e-10
-            assert np.abs(seq.table - choi_link_table(w, ia, ib, ie)).max() < 1e-10
-            # one composition serves both backends, so their bits agree too
+            # one circuit serves both backends, so their bits agree
             assert emb.table.tobytes() == seq.table.tobytes()
+            assert np.abs(seq.table - choi_link_table(w, ia, ib, ie)).max() < 1e-10
 
 
 class TestProcessJoint:
@@ -305,6 +312,26 @@ class TestValidateProcess:
         bad[0, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             ProcessMatrix(bad, w.lab_dims)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kind, build",
+        [
+            ("density matrix", DensityMatrix),
+            ("kraus operator", lambda m: Instrument(((m,),))),
+            ("process matrix", lambda m: ProcessMatrix(m, ((1, 1), (1, 1), (2, 1)))),
+            ("process matrix", lambda m: validate_process(m, ((1, 1), (1, 1), (2, 1)))),
+        ],
+        ids=["density", "instrument", "process", "validate_process"],
+    )
+    def test_entries_above_the_bound_refused(self, kind, build):
+        """Library callers get the bound that scenario files get: entries of
+        1e308 used to overflow in the hermiticity, completeness and trace
+        checks."""
+        huge = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        message = f"{kind} entries must be at most {mx.MAX_ENTRY:g} in magnitude"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(huge)
 
     def test_causal_loop_fails_only_the_validity_check(self):
         w, dims = _causal_loop()

@@ -1,5 +1,6 @@
 """Instruments, sequential composition, and the block-rotation example."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from agreelab import (
     NotNormalized,
     ParameterOutOfRange,
     QuantumScenario,
+    ValidationError,
     block_rotation_scenario,
     closed_form_posteriors,
     is_common_knowledge,
@@ -49,6 +51,13 @@ class TestDensityMatrix:
         with pytest.raises(NegativeMass):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, x):
+        # a NaN used to pass every check, and an infinity to overflow in them
+        with pytest.raises(ValidationError, match="^density matrix has non-finite entries$"):
+            DensityMatrix(np.array([[x, 0], [0, 1]]))
+
 
 class TestInstrument:
     def test_non_finite_kraus_entry_refused(self):
@@ -74,6 +83,29 @@ class TestInstrument:
     def test_check_false_allows_broken(self):
         instr = Instrument(((1.1 * np.eye(2, dtype=complex),),), check=False)
         assert not validate_instrument(instr).passes
+
+    def test_branches_are_read_only_views_of_the_padded_array(self):
+        p0, p1, p2 = (mx.projector(np.eye(3)[c]) for c in range(3))
+        instr = Instrument(((p0, p1), (p2,)))
+        assert instr.kraus.shape == (2, 2, 3, 3)
+        assert instr.counts.tolist() == [2, 1]
+        assert not instr.kraus.flags.writeable
+        for b, branch in enumerate(instr.branches):
+            assert len(branch) == instr.counts[b]
+            for m, k in enumerate(branch):
+                assert k.base is instr.kraus
+                assert np.shares_memory(k, instr.kraus[b, m])
+                assert not k.flags.writeable
+                assert k.tobytes() == instr.kraus[b, m].tobytes()
+        # +0.0 everywhere, not merely equal to zero
+        assert instr.kraus[1, 1].tobytes() == bytes(9 * 16)
+        with pytest.raises(ValueError, match="read-only"):
+            instr.branches[0][0][0, 0] = 1
+
+    def test_operators_of_another_shape_rejected(self):
+        message = r"^kraus operators must all have shape \(2, 2\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            Instrument(((np.eye(2),), (np.eye(2), np.eye(3))))
 
 
 class TestApplyBranch:
@@ -169,13 +201,20 @@ class TestSequentialJoint:
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_chain_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            QuantumScenario(
-                DensityMatrix.maximally_mixed(2),
-                Instrument.identity(2),
-                Instrument.identity(3),
-                Instrument.identity(3),
-            )
+        """The scenario's circuit is checked as a process term's is, and the
+        message names the labs whose wires do not fit."""
+        for dims, order, message in [
+            ((2, 3, 3), "ABE", "output dim of lab A (2) != input dim of lab B (3)"),
+            ((2, 2, 3), "ABE", "output dim of lab B (2) != input dim of lab E (3)"),
+            ((2, 2, 3), "AEB", "output dim of lab A (2) != input dim of lab E (3)"),
+            ((3, 3, 3), "ABE", "state dim 2 != input dim 3 of first lab A"),
+        ]:
+            with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+                QuantumScenario(
+                    DensityMatrix.maximally_mixed(2),
+                    *(Instrument.identity(d) for d in dims),
+                    order=order,
+                )
 
 
 class TestClosedFormPosteriors:

@@ -11,8 +11,9 @@ import pytest
 
 from agreelab import ParseError, ValidationError, parse_scenario, run_scenario
 from agreelab.cli import main
+from agreelab.matrices import MAX_ENTRY
 from agreelab.report import emit_report, parse_records
-from agreelab.scenario import _MAX_ENTRY, RunReport, _complex_matrix, complex_matrix_to_json
+from agreelab.scenario import RunReport, _complex_matrix, complex_matrix_to_json
 
 
 MINIMAL_TABLE = {
@@ -118,7 +119,7 @@ class TestComplexMatrix:
         rng = np.random.default_rng(seed)
         rows, cols = rng.integers(1, 9, size=2)
         m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, _MAX_ENTRY, -_MAX_ENTRY, 3.0, -7.0, 1e15])
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, MAX_ENTRY, -MAX_ENTRY, 3.0, -7.0, 1e15])
         mask = rng.random((rows, cols, 2)) < 0.4
         parts = np.stack([m.real, m.imag], axis=-1)
         parts[mask] = rng.choice(special, size=int(mask.sum()))
@@ -154,12 +155,12 @@ class TestComplexMatrix:
             with pytest.raises(ValidationError, match=r"^w: must be a number, got '1\.5'$"):
                 _complex_matrix(data, "w")
 
-    @pytest.mark.parametrize("x", [np.nextafter(_MAX_ENTRY, np.inf), -1e308, np.inf, -np.inf])
+    @pytest.mark.parametrize("x", [np.nextafter(MAX_ENTRY, np.inf), -1e308, np.inf, -np.inf])
     def test_entry_above_bound_refused(self, x):
         """A part beyond the bound, the next float above it included, is
         refused with the matrix named; a NaN part is left to the checks
         that refuse non-finite entries."""
-        data = [[[0.5, np.nan], [-_MAX_ENTRY, x]]]
+        data = [[[0.5, np.nan], [-MAX_ENTRY, x]]]
         message = "w: entries must be at most 1e+150 in magnitude"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             _complex_matrix(data, "w")
