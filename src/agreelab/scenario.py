@@ -104,11 +104,14 @@ def _integers(values, where: str) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class _FlatMatrix:
     """A complex matrix read by :func:`_read_flat_w`: its JSON numbers in
-    file order (re, im of each entry, row by row) and its shape."""
+    file order (re, im of each entry, row by row) and its shape. When
+    ``slots`` is set, ``values`` holds only the numbers of those slots, in
+    the same order, and every other slot was the literal ``0.0``."""
 
     values: list
     rows: int
     cols: int
+    slots: np.ndarray | None
 
 
 def _complex_matrix(data, where: str) -> np.ndarray:
@@ -124,10 +127,11 @@ def _complex_matrix(data, where: str) -> np.ndarray:
     A real or imaginary part above :data:`matrices.MAX_ENTRY` in magnitude,
     infinity included, is refused with the matrix's location; the bound says
     why no later check can overflow. NaN passes, to be refused as non-finite
-    later.
+    later: ``fmax``/``fmin`` skip it, so it cannot hide an infinity either.
     """
+    slots = None
     if isinstance(data, _FlatMatrix):
-        rows, cols, values = data.rows, data.cols, data.values
+        rows, cols, values, slots = data.rows, data.cols, data.values, data.slots
     else:
         if not (
             isinstance(data, list)
@@ -145,10 +149,17 @@ def _complex_matrix(data, where: str) -> np.ndarray:
         if not set(map(type, values)) <= {int, float}:
             for x in values:
                 _number(x, where)
-    arr = np.fromiter(values, float, count=rows * cols * 2).reshape(rows, cols, 2)
-    if (np.abs(arr) > MAX_ENTRY).any():
+    if slots is None:
+        parts = np.fromiter(values, float, count=rows * cols * 2)
+    else:
+        parts = np.zeros(rows * cols * 2)
+        parts[slots] = np.fromiter(values, float, count=len(values))
+    if np.fmax.reduce(parts) > MAX_ENTRY or np.fmin.reduce(parts) < -MAX_ENTRY:
         raise ValidationError(f"entries must be at most {MAX_ENTRY:g} in magnitude", where)
-    return arr[..., 0] + 1j * arr[..., 1]
+    arr = parts.reshape(rows, cols, 2)
+    # re + 1j * im bit for bit: the real part is re + 0.0 * im and the
+    # imaginary part im + 0.0, so a -0.0 part may read back as +0.0
+    return arr.view(complex)[..., 0] + 0.0 * arr[..., 1]
 
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
@@ -261,6 +272,36 @@ def _number_beside_bracket(marked: bytes) -> bool:
     )
 
 
+def _only_comma_spaces(raw: bytes, whitespace: int) -> bool:
+    """Whether each of the ``whitespace`` whitespace bytes of ``raw`` is a
+    space right after a comma, as in json.dumps's ``", "``."""
+    a = np.frombuffer(raw, np.uint8)
+    return np.count_nonzero((a[:-1] == ord(",")) & (a[1:] == ord(" "))) == whitespace
+
+
+def _drop_zero_slots(body: bytes) -> tuple[bytes, np.ndarray]:
+    """``body``, slots joined by bare commas, less every slot that is
+    exactly ``0.0``, and the indices of the slots it keeps. With a comma
+    added at each end, a zero slot is a comma, ``0.0`` and a comma, found in
+    one vectorized pass over the bytes; its first four bytes are deleted,
+    so the slots kept stay joined by single commas."""
+    a = np.frombuffer(b"," + body + b",", np.uint8)
+    comma = a == ord(",")
+    zero = np.zeros(len(a), bool)  # the leading comma of each zero slot
+    z = zero[:-4]
+    np.equal(a[1:-3], ord("0"), out=z)
+    z &= a[2:-2] == ord(".")
+    z &= a[3:-1] == ord("0")
+    z &= comma[:-4]
+    z &= comma[4:]
+    kept = zero.copy()
+    for k in (1, 2, 3):
+        kept[k:] |= zero[:-k]
+    np.logical_not(kept, out=kept)
+    commas = np.flatnonzero(comma)[:-1]
+    return a[kept].tobytes()[1:-1], np.flatnonzero(~zero[commas])
+
+
 def _read_flat_w(text: str) -> dict | None:
     """The scenario object of ``text`` with its top-level ``"w"`` read as a
     :class:`_FlatMatrix`, or None to leave the whole text to ``json.loads``.
@@ -272,13 +313,22 @@ def _read_flat_w(text: str) -> dict | None:
     character sits in a slot. Its numbers are then decoded in one
     ``json.loads`` of the literal without brackets: each slot must hold
     one JSON number, read by the same scanner and the same ``float`` as in
-    the nested parse, so the bits are the same. The rest of
-    the text is parsed with the literal replaced by an integer that occurs
-    nowhere else in the text (JSON numbers have no escapes), which must
-    come back as the top-level ``"w"``. Any other input returns None: an
-    indented or nested ``"w"``, a duplicate one, an entry that is not a
-    number, or any JSON error; the nested parse then reads it, and reports
-    what is wrong, exactly as it always has.
+    the nested parse, so the bits are the same.
+
+    A process matrix is mostly zeros. When the literal's only whitespace is
+    the space of json.dumps's ``", "``, every slot that is exactly ``0.0``
+    is left out of the decode, and :func:`_complex_matrix` fills it from an
+    array of +0.0, the value ``json.loads`` gives it; ``-0.0``, ``0``,
+    ``0e0`` and every other spelling are still decoded. Any other
+    whitespace (a tab, a newline, a space not after a comma) keeps the
+    decode of every slot, so that a slot like ``1 2`` is refused as before.
+
+    The rest of the text is parsed with the literal replaced by an integer
+    that occurs nowhere else in the text (JSON numbers have no escapes),
+    which must come back as the top-level ``"w"``. Any other input returns
+    None: an indented or nested ``"w"``, a duplicate one, an entry that is
+    not a number, or any JSON error; the nested parse then reads it, and
+    reports what is wrong, exactly as it always has.
     """
     m = _COMPACT_W.search(text) if isinstance(text, str) else None
     if m is None:
@@ -301,12 +351,17 @@ def _read_flat_w(text: str) -> dict | None:
     row = b"[" + b",".join([b"[,]"] * cols) + b"]"
     if skeleton != b"[" + b",".join([row] * rows) + b"]":
         return None
+    slots = None
+    if _only_comma_spaces(raw, len(raw) - len(marked)):
+        body, slots = _drop_zero_slots(raw.translate(None, b"[] "))
+    else:
+        body = raw.translate(None, b"[]")
     head, tail = text[:start], text[end:]
     placeholder = "-9007199254740993"
     while placeholder in head or placeholder in tail:
         placeholder += "7"
     try:
-        values = json.loads(b"[" + raw.translate(None, b"[]") + b"]")
+        values = json.loads(b"[" + body + b"]")
         payload = json.loads(head + placeholder + tail)
     except (ValueError, RecursionError):
         return None
@@ -316,7 +371,7 @@ def _read_flat_w(text: str) -> dict | None:
         and payload["w"] == int(placeholder)
     ):
         return None
-    payload["w"] = _FlatMatrix(values, rows, cols)
+    payload["w"] = _FlatMatrix(values, rows, cols, slots)
     return payload
 
 

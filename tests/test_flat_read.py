@@ -30,6 +30,15 @@ def _instruments(d: int) -> dict:
     return {"A": [kraus], "B": trivial, "E": trivial}
 
 
+def _document(literal: str) -> str:
+    """A process scenario whose ``w`` is ``literal``, a 2 x 2 matrix on lab
+    A's input, written as json.dumps writes the rest."""
+    return (
+        '{"backend": "process", "lab_dims": {"A": [2, 1], "B": [1, 1], "E": [1, 1]}, '
+        f'"instruments": {json.dumps(_instruments(2))}, "event": [0], "w": {literal}}}'
+    )
+
+
 def _literal(tokens: list, style, draw) -> str:
     """A rows x cols matrix of [re, im] token pairs, written in ``style``:
     json.dumps's indent and separators, or random whitespace (None)."""
@@ -152,6 +161,16 @@ def _matrix_outcome(data):
 @example('{"w": [[[1,]2,[3,4]]]}')
 @example('{"w": [[[0.5,0.]0,[0,0]]]}')
 @example('{"w": [[1[,2],[3,4]]]}')
+# spellings of zero beside the literal 0.0, and whitespace that keeps every
+# slot decoded
+@example(_document("[[[0.5, 00.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"))
+@example(_document("[[[0.5, 0.00], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"))
+@example(_document("[[[0.5, 0.0e0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"))
+@example(_document("[[[0.5, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [0.5, 0.0]]]"))
+@example(_document("[[[0.5, 0.0\t], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"))
+@example(_document("[[[0.5, 0.0 1], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"))
+@example(_document("[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"))
+@example(_document("[[[0.5, 0], [-0.0, 0e0]], [[0, 0], [0.5, 0]]]"))
 def test_flat_read_matches_nested_parse(text):
     assert _outcome(text, flat=True) == _outcome(text, flat=False)
     payload = _read_flat_w(text)
@@ -207,3 +226,17 @@ def test_other_w_is_left_to_the_nested_parse(explicit_w_payload, edit):
     text = edit(json.dumps(explicit_w_payload))
     assert _read_flat_w(text) is None
     assert _outcome(text, flat=True) == _outcome(text, flat=False)
+
+
+@pytest.mark.parametrize("separators", [None, (",", ":")], ids=["default", "no-space"])
+def test_zero_slots_of_a_compact_w_are_not_decoded(explicit_w_payload, separators):
+    """A ``w`` as json.dumps writes it, with or without the space after each
+    comma, is read without decoding its 0.0 slots, and gives the nested
+    parse's W bit for bit."""
+    text = json.dumps(explicit_w_payload, separators=separators)
+    w = _read_flat_w(text)["w"]
+    assert (w.rows, w.cols) == (216, 216)
+    assert len(w.values) == len(w.slots) < w.rows * w.cols * 2
+    got = _outcome(text, flat=True)
+    assert isinstance(got[-1], bytes)
+    assert got == _outcome(text, flat=False)

@@ -165,6 +165,32 @@ class TestComplexMatrix:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             _complex_matrix(data, "w")
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complex_build_matches_re_plus_1j_im_bit_for_bit(self, seed):
+        """The matrix has the bytes of ``re + 1j * im``, whose signed-zero
+        rule it must keep, for every sign combination of +-0.0 with +-0.0
+        and with nonzero parts."""
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, 1.5, -2.5, 5e-324, -5e-324])
+        pairs = np.array([(x, y) for x in values for y in values])
+        parts = np.concatenate([pairs, rng.choice(values, size=(24, 2))])[rng.permutation(60)]
+        parts = parts.reshape(6, 10, 2)
+        want = parts[..., 0] + 1j * parts[..., 1]
+        assert _complex_matrix(parts.tolist(), "w").tobytes() == want.tobytes()
+
+    def test_nan_cannot_hide_an_infinity(self, tmp_path, capsys):
+        """A NaN entry beside an infinite one: the bound still refuses the
+        infinity with the matrix named, where a NaN-propagating maximum
+        would leave both to the non-finite check."""
+        path = tmp_path / "nan-inf.json"
+        path.write_text(
+            '{"backend": "process", "lab_dims": {"A": [1, 1], "B": [1, 1], "E": [1, 1]}, '
+            '"w": [[[NaN, Infinity]]], "instruments": {"A": [[[[[1.0, 0.0]]]]], '
+            '"B": [[[[[1.0, 0.0]]]]], "E": [[[[[1.0, 0.0]]]]]}, "event": [0]}'
+        )
+        assert main(["verify", str(path)]) == 3
+        assert "w: entries must be at most 1e+150 in magnitude" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
     @pytest.mark.parametrize("where", ["w", "state", "instruments.A[0][0]"])
