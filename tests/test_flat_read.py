@@ -171,6 +171,10 @@ def _matrix_outcome(data):
 @example(_document("[[[0.5, 0.0 1], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"))
 @example(_document("[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"))
 @example(_document("[[[0.5, 0], [-0.0, 0e0]], [[0, 0], [0.5, 0]]]"))
+# an empty slot whose every other slot is 0.0 leaves no value to decode
+@example(_document("[[[0.0, ], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"))
+@example('{"w": [[[0.0,]]]}')
+@example(_document("[[[0.0,  0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0 , 0.0]]]"))
 def test_flat_read_matches_nested_parse(text):
     assert _outcome(text, flat=True) == _outcome(text, flat=False)
     payload = _read_flat_w(text)
