@@ -4,8 +4,9 @@
 For n = 8, 16 and 40 (sizes in the benchmark's sweep_dense mix), 64, 128,
 256 and 512 (up to ``--max-n``) it builds one n x n x 3
 ``make_sweep_table`` table from the benchmark's workloads, then times the
-chain the benchmark's sweep_dense verdict runs: ``validate_joint``,
-``verify_agreement`` and ``singular_disagreement_check``. Each size runs in
+chain a sweep verdict runs: ``validate_joint``, ``verify_agreement`` and
+the singular check the sweep's result answers (``singular_ok``, from the
+sweep's own engine). Each size runs in
 a fresh process, so the peak RSS printed is that size's own. The time is
 the median of ``--repeats`` calls after one untimed call. Every result is
 checked without building a report per pair: the closure count, no
@@ -51,7 +52,8 @@ def measure(n: int, seed: int, repeats: int) -> dict:
 
     def call():
         p = joint.validate_joint(spec.table, space)
-        return agreement.verify_agreement(p, event), agreement.singular_disagreement_check(p, event)
+        result = agreement.verify_agreement(p, event)
+        return result, result.singular_ok
 
     call()
     times = []

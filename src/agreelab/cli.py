@@ -49,11 +49,15 @@ def _tol(override: float | None, default: float) -> float:
 
 def _load_with_tol(path: str, override: float | None):
     """Load a scenario and set its tolerance. Every backend yields a float
-    table, so zero is refused along with the values ``_tol`` refuses."""
+    table, so zero is refused along with the values ``_tol`` refuses. The
+    file is read as UTF-8, the encoding of JSON text (RFC 8259), whatever
+    the locale."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8: {e}") from None
     s = parse_scenario(text)
     tol = _tol(override, s.tol)
     if tol == 0:

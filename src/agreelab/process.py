@@ -33,11 +33,14 @@ Construction first tries a certificate that needs no eigendecomposition:
 the hermiticity and trace checks, one Cholesky factorization of
 H + (PSD_TOL/2)·1 with H = (W + W†)/2, and the L_V check. The shift is half
 the bound, which leaves PSD_TOL/2 of margin against the factorization's
-round-off, so a certified W is valid. A W whose smallest eigenvalue lies in
-(−PSD_TOL, −PSD_TOL/2] fails the certificate yet is valid; it, and every W
-that fails another check, goes on to the eigenvalues of
-:func:`validate_process`, which decide and word the verdict exactly as
-before. :func:`validate_process` and :class:`ProcessDiagnostics` always
+round-off, so a certified W is valid. Hermiticity and the factorization
+run on W's support, the indices whose row or column has a nonzero entry,
+since W − W† and H vanish outside it; a definite-order W is zero on most
+rows, so its certificate costs time in proportion to its support. A W
+whose smallest eigenvalue lies in (−PSD_TOL, −PSD_TOL/2] fails the
+certificate yet is valid; it, and every W that fails another check, goes
+on to the eigenvalues of :func:`validate_process`, which decide and word
+the verdict exactly as before. :func:`validate_process` and :class:`ProcessDiagnostics` always
 compute the eigenvalues, so their figures stay exact.
 
 A :class:`ProcessMatrix` is held in one of two forms. Constructed
@@ -407,13 +410,24 @@ def _certified(m: np.ndarray, dims: LabDims) -> bool:
     may be one of the three other checks, or an eigenvalue in
     (−PSD_TOL, −PSD_TOL/2], which is valid. The caller then runs
     :func:`_diagnose`, whose eigenvalues decide.
+
+    Hermiticity and positivity are checked on W's support S, the indices
+    whose row or column of W has a nonzero entry: a definite-order W is
+    zero on most of them. W − W† and H are zero outside S×S, so the largest
+    deviation is that of W[S, S], and after a permutation H + (PSD_TOL/2)·1
+    is blockdiag(H_S + (PSD_TOL/2)·1, (PSD_TOL/2)·1), positive definite
+    exactly when its first block is. The factorization of that block errs
+    by a multiple of eps·‖H_S‖ ≤ eps·‖H‖, inside the same margin. The trace
+    and L_V checks read all of W.
     """
-    if mx.hermiticity_deviation(m) > mx.HERMITICITY_TOL:
-        return False
     if _trace_deviation(m, dims) > PROCESS_TRACE_TOL:
         return False
-    shifted = mx.hermitian_part(m)
-    shifted.flat[:: m.shape[0] + 1] += mx.PSD_TOL / 2
+    support = m.any(axis=1) | m.any(axis=0)
+    s = m if support.all() else m[np.ix_(support, support)]
+    if mx.hermiticity_deviation(s) > mx.HERMITICITY_TOL:
+        return False
+    shifted = mx.hermitian_part(s)
+    shifted.flat[:: s.shape[0] + 1] += mx.PSD_TOL / 2
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -304,14 +304,90 @@ def _read_flat_w(text: str) -> dict | None:
     """The scenario object of ``text`` with its top-level ``"w"`` read as a
     :class:`_FlatMatrix`, or None to leave the whole text to ``json.loads``.
 
-    The literal after ``"w":`` up to the first ``]]]`` is taken when its
-    bytes, less number characters and whitespace, are exactly the brackets
-    and commas of a rows x cols matrix of [re, im] pairs, and no number
-    character follows a ``]`` or precedes a ``[``, so that every number
-    character sits in a slot. Its numbers are then decoded in one
-    ``json.loads`` of the literal without brackets: each slot must hold
-    one JSON number, read by the same scanner and the same ``float`` as in
-    the nested parse, so the bits are the same.
+    The literal after ``"w":`` up to the first ``]]]`` is read by
+    :func:`_read_literal`. The rest of the text is parsed with the literal
+    replaced by an integer that occurs nowhere else in the text (JSON
+    numbers have no escapes), which must come back as the top-level
+    ``"w"``. Any other input returns None: an indented or nested ``"w"``, a
+    duplicate one, an entry that is not a number, or any JSON error; the
+    nested parse then reads it, and reports what is wrong, exactly as it
+    always has.
+    """
+    m = _COMPACT_W.search(text) if isinstance(text, str) else None
+    if m is None:
+        return None
+    start = m.end()
+    end = text.find("]]]", start) + 3
+    if end < 3:
+        return None
+    w = _read_literal(text[start:end])
+    if w is None:
+        return None
+    head, tail = text[:start], text[end:]
+    placeholder = "-9007199254740993"
+    while placeholder in head or placeholder in tail:
+        placeholder += "7"
+    try:
+        payload = json.loads(head + placeholder + tail)
+    except (ValueError, RecursionError):
+        return None
+    if not (
+        isinstance(payload, dict)
+        and type(payload.get("w")) is int
+        and payload["w"] == int(placeholder)
+    ):
+        return None
+    payload["w"] = w
+    return payload
+
+
+# Where one row of a matrix literal ends and the next begins, as json.dumps
+# writes it.
+_ROW_BREAK = "]], [["
+
+
+def _read_literal(literal: str) -> _FlatMatrix | None:
+    """The matrix literal ``literal``, which opens with ``[[[`` and closes
+    with ``]]]``, read with the rows json.dumps wrote as all ``[0.0, 0.0]``
+    set aside, or None. What is read must be ASCII.
+
+    A definite-order W is zero on most of its rows. The literal is split at
+    each ``]], [[`` in one pass, and a row whose text equals the zero row
+    of as many columns as the first row has is set aside by one comparison.
+    Only the live rows left, joined back, go through the byte passes and
+    the decode of :func:`_read_rows`; they must read as one row per piece,
+    of the zero row's column count, and their kept slots are mapped back to
+    the full matrix's. A literal with no such zero row is read by
+    :func:`_read_rows` whole, and one with only zero rows decodes nothing.
+    """
+    pieces = literal.split(_ROW_BREAK)
+    pieces[0] = pieces[0][3:]
+    pieces[-1] = pieces[-1][:-3]
+    cols = pieces[0].count("], [") + 1
+    zero_row = "], [".join(["0.0, 0.0"] * cols)
+    live = [k for k, piece in enumerate(pieces) if piece != zero_row]
+    if len(live) == len(pieces):
+        return _read_rows(literal.encode()) if literal.isascii() else None
+    if not live:
+        return _FlatMatrix([], len(pieces), cols, np.empty(0, np.intp))
+    rows = "[[[" + _ROW_BREAK.join([pieces[k] for k in live]) + "]]]"
+    w = _read_rows(rows.encode()) if rows.isascii() else None
+    if w is None or (w.rows, w.cols) != (len(live), cols):
+        return None
+    row, slot = np.divmod(w.slots, 2 * cols)
+    return _FlatMatrix(w.values, len(pieces), cols, np.array(live)[row] * (2 * cols) + slot)
+
+
+def _read_rows(raw: bytes) -> _FlatMatrix | None:
+    """The matrix literal ``raw`` read in one flat pass, or None.
+
+    It is taken when its bytes, less number characters and whitespace, are
+    exactly the brackets and commas of a rows x cols matrix of [re, im]
+    pairs, and no number character follows a ``]`` or precedes a ``[``, so
+    that every number character sits in a slot. Its numbers are then
+    decoded in one ``json.loads`` of the literal without brackets: each slot
+    must hold one JSON number, read by the same scanner and the same
+    ``float`` as in the nested parse, so the bits are the same.
 
     A process matrix is mostly zeros, and a slot that is exactly ``0.0`` is
     left out of the decode: :func:`_complex_matrix` fills it from an array
@@ -324,23 +400,7 @@ def _read_flat_w(text: str) -> dict | None:
     is not exactly ``0.0`` and is decoded, so that a slot like ``1 2`` is
     refused as before. An empty slot among zero slots can leave one value
     fewer than the slots kept, and leaves the text to the nested parse.
-
-    The rest of the text is parsed with the literal replaced by an integer
-    that occurs nowhere else in the text (JSON numbers have no escapes),
-    which must come back as the top-level ``"w"``. Any other input returns
-    None: an indented or nested ``"w"``, a duplicate one, an entry that is
-    not a number, or any JSON error; the nested parse then reads it, and
-    reports what is wrong, exactly as it always has.
     """
-    m = _COMPACT_W.search(text) if isinstance(text, str) else None
-    if m is None:
-        return None
-    start = m.end()
-    end = text.find("]]]", start) + 3
-    literal = text[start:end]
-    if end < 3 or not literal.isascii():
-        return None
-    raw = literal.encode()
     marked = raw.translate(_MARK_NUMBERS, _WHITESPACE)
     if _number_beside_bracket(marked):
         return None
@@ -356,24 +416,13 @@ def _read_flat_w(text: str) -> dict | None:
     # deleting spaces merges no tokens when each one follows a comma
     strip = b"[] " if _comma_spaces(raw) == len(raw) - len(marked) else b"[]"
     body, slots = _drop_zero_slots(raw.translate(None, strip))
-    head, tail = text[:start], text[end:]
-    placeholder = "-9007199254740993"
-    while placeholder in head or placeholder in tail:
-        placeholder += "7"
     try:
         values = json.loads(b"[" + body + b"]")
-        payload = json.loads(head + placeholder + tail)
-    except (ValueError, RecursionError):
+    except ValueError:
         return None
-    if not (
-        len(values) == len(slots)
-        and isinstance(payload, dict)
-        and type(payload.get("w")) is int
-        and payload["w"] == int(placeholder)
-    ):
+    if len(values) != len(slots):
         return None
-    payload["w"] = _FlatMatrix(values, rows, cols, slots)
-    return payload
+    return _FlatMatrix(values, rows, cols, slots)
 
 
 def _parse(text: str) -> Scenario:
@@ -547,23 +596,36 @@ def _draw_process(rng: np.random.Generator, max_dim: int):
 class Backend:
     """One backend: how a scenario file's payload is read into a source and
     its event, how the fuzz draws a random one, and how a source becomes its
-    joint table at the tolerance the verdict runs at."""
+    joint table at the tolerance the verdict runs at. ``min_dim`` is the
+    smallest ``max_dim`` that ``draw`` can draw at: its smallest axis size
+    or lab dimension."""
 
     parse: Callable[[dict], tuple[object, Event]]
     draw: Callable[[np.random.Generator, int], tuple[object, Event]]
     joint: Callable[[object, float], JointDistribution]
+    min_dim: int
 
 
 # Each joint builder looks its table function up in this module at call time,
 # so a wrapper installed on this module's binding sees every table built.
 BACKENDS: dict[str, Backend] = {
-    "table": Backend(_parse_table, _draw_table, lambda src, tol: validate_joint(*src, tol)),
-    "classical": Backend(
-        _parse_classical, _draw_classical, lambda m, tol: embed_classical(m, tol)[0].to_float()
+    "table": Backend(
+        _parse_table, _draw_table, lambda src, tol: validate_joint(*src, tol), min_dim=1
     ),
-    "quantum": Backend(_parse_quantum, _draw_quantum, lambda qs, tol: sequential_joint(qs, tol)),
+    "classical": Backend(
+        _parse_classical,
+        _draw_classical,
+        lambda m, tol: embed_classical(m, tol)[0].to_float(),
+        min_dim=1,
+    ),
+    "quantum": Backend(
+        _parse_quantum, _draw_quantum, lambda qs, tol: sequential_joint(qs, tol), min_dim=2
+    ),
     "process": Backend(
-        _parse_process, _draw_process, lambda src, tol: process_joint(src[0], *src[1], tol=tol)
+        _parse_process,
+        _draw_process,
+        lambda src, tol: process_joint(src[0], *src[1], tol=tol),
+        min_dim=2,
     ),
 }
 

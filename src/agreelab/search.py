@@ -56,12 +56,16 @@ def fuzz_search(
         raise ValidationError(
             f"must be finite and positive, since every trial table is float; got {tol}", "tol"
         )
+    entry = BACKENDS[backend]
+    if max_dim < entry.min_dim:
+        raise ValidationError(
+            f"must be at least {entry.min_dim} for backend {backend!r}, got {max_dim}", "max_dim"
+        )
     closures = 0
     violation_count = 0
     singular_failures = 0
     max_steps = 0
     size_counts: dict[tuple[int, int], int] = {}
-    entry = BACKENDS[backend]
     for t in range(trials):
         source, event = entry.draw(trial_rng(seed, t), max_dim)
         joint = entry.joint(source, tol)

@@ -453,3 +453,17 @@ def test_tol_above_every_mass_sweeps_no_pair(scenarios_dir, capsys):
     assert main(["verify", path, "--tol", "0.6", "--format", "records"]) == cli.EXIT_OK
     report = parse_records(capsys.readouterr().out)
     assert report.q_a == report.q_b == (None, None) and report.reports == ()
+
+
+@pytest.mark.parametrize(
+    "command", [["verify"], ["ck", "--pair", "0", "0"], ["protocol", "--pair", "0", "0"]]
+)
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, command):
+    # JSON text is UTF-8 (RFC 8259); a 0xff byte in a string is not
+    path = tmp_path / "latin1.json"
+    path.write_bytes(
+        b'{"backend": "table", "id": "caf\xe9\xff", "sizes": [1, 1, 1], "p": [1.0], "event": [0]}'
+    )
+    assert main([command[0], str(path), *command[1:]]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"parse error: {path} is not UTF-8" in err and "internal error" not in err

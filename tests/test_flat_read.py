@@ -244,3 +244,112 @@ def test_zero_slots_of_a_compact_w_are_not_decoded(explicit_w_payload, separator
     got = _outcome(text, flat=True)
     assert isinstance(got[-1], bytes)
     assert got == _outcome(text, flat=False)
+
+
+def _document_of(literal: str, d: int) -> str:
+    """A process scenario whose ``w`` is ``literal``, a d x d matrix on lab
+    A's input."""
+    dims = json.dumps({"A": [d, 1], "B": [1, 1], "E": [1, 1]})
+    return (
+        f'{{"backend": "process", "lab_dims": {dims}, '
+        f'"instruments": {json.dumps(_instruments(d))}, "event": [0], "w": {literal}}}'
+    )
+
+
+def _zero_row(cols: int) -> str:
+    """A row of ``cols`` [0.0, 0.0] slots as json.dumps writes it."""
+    return "[" + ", ".join(["[0.0, 0.0]"] * cols) + "]"
+
+
+@st.composite
+def zero_row_documents(draw):
+    """Process scenario text whose ``w`` writes some rows as json.dumps
+    writes an all-zero row, the first, a middle, the last, all or some of
+    them, beside live rows each written in its own style, some carrying an
+    odd token or a number moved beside a bracket."""
+    d = draw(st.integers(1, 6))
+    rows, cols = d, d
+    if draw(st.integers(0, 9)) == 0:
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    zero = draw(
+        st.sampled_from([{0}, {rows // 2}, {rows - 1}, set(range(rows))])
+        | st.sets(st.integers(0, rows - 1), min_size=1)
+    )
+    live = [r for r in range(rows) if r not in zero]
+    number = st.one_of(
+        st.sampled_from(NUMBERS), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    )
+    if draw(st.booleans()) and rows == cols and live:
+        # a valid W: the maximally mixed state on the live rows
+        diagonal = repr(1 / len(live))
+        tokens = {r: [[diagonal if c == r else draw(st.sampled_from(ZEROS)),
+                       draw(st.sampled_from(ZEROS))] for c in range(cols)] for r in live}
+    else:
+        tokens = {r: [[draw(number), draw(number)] for _ in range(cols)] for r in live}
+    if live and draw(st.integers(0, 3)) == 0:
+        r = draw(st.sampled_from(live))
+        tokens[r][draw(st.integers(0, cols - 1))][draw(st.integers(0, 1))] = draw(st.sampled_from(ODD))
+    stray = live and draw(st.integers(0, 3)) == 0
+    if stray:
+        r, c, k = draw(st.sampled_from(live)), draw(st.integers(0, cols - 1)), draw(st.integers(0, 1))
+        moved, tokens[r][c][k] = tokens[r][c][k], "@"
+    styles = [None, (None, None), (None, (",", ":")), (0, None), (2, (",", ": "))]
+    texts = [
+        _zero_row(cols) if r in zero else _literal([tokens[r]], draw(st.sampled_from(styles)), draw)[1:-1]
+        for r in range(rows)
+    ]
+    breaks = st.sampled_from([", ", ", ", ", ", ",", ",\n", " , "])
+    literal = "[" + "".join(text + draw(breaks) for text in texts[:-1]) + texts[-1] + "]"
+    if stray:
+        # the number moved out of its slot to beside a bracket
+        literal = literal.replace("@", "")
+        i = draw(st.sampled_from([i for i, ch in enumerate(literal) if ch in "[]"]))
+        i += draw(st.integers(0, 1))
+        literal = literal[:i] + moved + literal[i:]
+    return _document_of(literal, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_row_documents())
+# a zero row of another column count than the live rows'
+@example(_document("[[[0.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]"))
+@example(_document("[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]"))
+@example(_document("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]"))
+# all rows zero
+@example(_document("[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"))
+@example('{"w": [[[0.0, 0.0]]]}')
+# a zero row beside live rows written with separators=(",", ":"), one piece
+# holding two rows
+@example(_document("[[[0.0, 0.0], [0.0, 0.0]], [[0.0,0.0],[1.0,0.0]]]"))
+@example(_document_of("[[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "
+                      "[[0.0,0.0],[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0],[0.5,0.0]]]", 3))
+# a zero row beside a live row with an odd token, a stray number, or a tab
+@example(_document("[[[0.0, 0.0], [0.0, 0.0]], [[true, 0.0], [1.0, 0.0]]]"))
+@example(_document("[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]5, [1.0, 0.0]]]"))
+@example(_document("[[[0.0, 0.0], [0.0, 0.0]], [[0.0,\t0.0], [1.0, 0.0]]]"))
+def test_zero_rows_set_aside_match_nested_parse(text):
+    assert _outcome(text, flat=True) == _outcome(text, flat=False)
+    payload = _read_flat_w(text)
+    if payload is not None:
+        nested = json.loads(text)
+        assert _matrix_outcome(payload.pop("w")) == _matrix_outcome(nested.pop("w"))
+        assert payload == nested
+
+
+def test_only_live_rows_of_a_definite_order_w_are_decoded(explicit_w_payload):
+    """The 216 x 216 W is zero on all but 36 rows. The byte passes read
+    those rows alone, and the decode only their slots not written ``0.0``."""
+    text = json.dumps(explicit_w_payload)
+    parts = np.array(explicit_w_payload["w"]).reshape(216, 432)
+    written = (parts != 0) | np.signbit(parts)  # -0.0 is written, and decoded
+    live = np.flatnonzero(written.any(axis=1))
+    assert len(live) == 36
+    with mock.patch.object(scenario, "_read_rows", wraps=scenario._read_rows) as read_rows:
+        w = _read_flat_w(text)["w"]
+    (literal,), _ = read_rows.call_args
+    assert read_rows.call_count == 1 and literal.count(b"]], [[") + 1 == len(live)
+    assert np.array_equal(w.slots, np.flatnonzero(written))
+    assert (w.rows, w.cols) == (216, 216)
+    got = _outcome(text, flat=True)
+    assert isinstance(got[-1], bytes)
+    assert got == _outcome(text, flat=False)

@@ -30,7 +30,7 @@ from agreelab import matrices as mx
 from agreelab import process, quantum
 from agreelab.cli import EXIT_OK, main
 from agreelab.process import DENSE_W_BUDGET_BYTES, JOINT_IMAG_TOL
-from agreelab.randomgen import random_density, random_instrument, trial_rng
+from agreelab.randomgen import random_density, random_instrument, random_pure_density, trial_rng
 from agreelab.scenario import complex_matrix_to_json, parse_scenario
 from conftest import bell_vector, choi_link_table
 
@@ -449,6 +449,76 @@ class TestCertificate:
                 with pytest.raises(ValidationError) as e:
                     ProcessMatrix(cand, cdims)
                 assert str(e.value) == f"process matrix {failure}"
+
+
+def _sparse_shifted_process(target: float):
+    """A definite-order W, zero on 24 of its 32 rows, whose smallest
+    eigenvalue is ``target``: the affine step W + s (W - W0) from a pure
+    state's W to the same circuit's W0 with a maximally mixed state. Both
+    have the form rho^T (x) X for one X >= 0, so the step's smallest
+    eigenvalue is -s/2 times X's largest, and it keeps W's zero rows, its
+    trace and its fixedness by L_V."""
+    dims = ((2, 2), (2, 2), (2, 1))
+    rho = random_pure_density(2, trial_rng(5))
+    w = embed_definite_order(rho, ("A", "B", "E"), dims).matrix
+    w0 = embed_definite_order(DensityMatrix.maximally_mixed(2), ("A", "B", "E"), dims).matrix
+    s = -2 * target / np.linalg.eigvalsh(w)[-1]
+    return w + s * (w - w0), dims
+
+
+class TestSupportCertificate:
+    """The certificate checks hermiticity and positivity on W's support, the
+    indices whose row or column has a nonzero entry, and still accepts
+    exactly what the diagnostics pass and refuses with their message."""
+
+    @staticmethod
+    def _same_verdict(m, dims):
+        """The constructor's verdict on ``m``, checked against the
+        diagnostics': the failure they name, or None."""
+        failure = validate_process(m, dims).failure
+        if failure is None:
+            ProcessMatrix(m, dims)
+        else:
+            with pytest.raises(ValidationError) as e:
+                ProcessMatrix(m, dims)
+            assert str(e.value) == f"process matrix {failure}"
+        return failure
+
+    @pytest.mark.parametrize("factor", [-0.4, -0.7, -1.3])
+    def test_smallest_eigenvalue_near_the_bound(self, factor):
+        m, dims = _sparse_shifted_process(factor * mx.PSD_TOL)
+        support = m.any(axis=1) | m.any(axis=0)
+        assert support.sum() == 8 and len(support) == 32
+        diag = validate_process(m, dims)
+        assert diag.min_eigenvalue == pytest.approx(factor * mx.PSD_TOL, rel=1e-3)
+        assert process._certified(m, dims) is (factor == -0.4)
+        failure = self._same_verdict(m, dims)
+        assert (failure is None) is (factor > -1)
+
+    def test_negative_diagonal_entry_in_a_zero_row(self):
+        m, dims = _sparse_shifted_process(0.0)
+        r = np.flatnonzero(~m.any(axis=1))[0]
+        m[r, r] = -1e-9
+        assert not process._certified(m, dims)
+        assert self._same_verdict(m, dims).startswith("has eigenvalue -1.000e-09")
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_lone_entry_in_the_column_of_a_zero_row(self, hermitian):
+        m, dims = _sparse_shifted_process(0.0)
+        r = np.flatnonzero(~m.any(axis=1))[0]
+        c = np.flatnonzero(m.any(axis=1))[0]
+        if hermitian:
+            # a nonzero off-diagonal pair beside a zero diagonal entry is not
+            # positive
+            m[c, r], m[r, c] = 1e-3j, -1e-3j
+            assert not process._certified(m, dims)
+            assert self._same_verdict(m, dims).startswith("has eigenvalue")
+        else:
+            # small enough to pass the trace and L_V checks: only the
+            # hermiticity of column r refuses it
+            m[c, r] = 1e-8j
+            assert not process._certified(m, dims)
+            assert self._same_verdict(m, dims) == "is not hermitian (deviation 1.000e-08)"
 
 
 class TestIndefiniteOrderFromFile:

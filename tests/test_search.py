@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from agreelab import ValidationError
+from agreelab.cli import EXIT_VALIDATION, main
 from agreelab.report import emit_search_summary
 from agreelab.scenario import BACKENDS
 from agreelab.search import fuzz_search
@@ -142,3 +143,20 @@ def test_process_fuzz_peak_memory():
     )
     assert out.returncode == 0, out.stderr
     assert float(out.stdout) < 200.0, f"peak RSS {out.stdout.strip()} MB"
+
+
+@pytest.mark.parametrize(
+    "backend, smallest", [("table", 1), ("classical", 1), ("quantum", 2), ("process", 2)]
+)
+def test_max_dim_below_the_smallest_draw_is_refused(backend, smallest, capsys):
+    """A ``max_dim`` below every size a backend draws is refused with the
+    option named, from the library and the CLI alike; the smallest one runs."""
+    assert BACKENDS[backend].min_dim == smallest
+    for max_dim in (smallest - 1, -3):
+        with pytest.raises(ValidationError, match="max_dim"):
+            fuzz_search(backend, trials=2, max_dim=max_dim)
+        argv = ["search", "--backend", backend, "--trials", "2", "--max-dim", str(max_dim)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "max_dim" in err and "internal error" not in err
+    assert fuzz_search(backend, trials=5, max_dim=smallest).passed
